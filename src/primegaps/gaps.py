@@ -15,6 +15,7 @@ per-prime records.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -158,17 +159,22 @@ class GapBlockStream:
         self.limit = limit
         self.segment_size = segment_size
         self.cut_every = cut_every
+        # store[:tail] holds consecutive primes: store[i] is the prime with
+        # index _first_n + i.  Positions before head are emitted; [head, tail)
+        # is the live look-ahead.  Segments are appended in place, and the live part
+        # moves only when a segment does not fit (see _extend).
         if seed is None:
-            self._buf = np.empty(0, dtype=np.int64)
-            self._first_n = 1  # index of _buf[0]
+            self._store = np.empty(0, dtype=np.int64)
+            self._first_n = 1
             self._sieved_hi = 2  # everything below this has been sieved
             self._gap_max = 0
         else:
-            self._buf = np.asarray(seed.lookahead, dtype=np.int64)
+            self._store = np.array(seed.lookahead, dtype=np.int64)
             self._first_n = seed.next_n
             self._sieved_hi = seed.covered_through + 1
             self._gap_max = seed.gap_max
-        self._emit = 0  # position in _buf of the next unemitted prime
+        self._head = 0
+        self._tail = len(self._store)
         self._feed = SegmentFeed(
             start=self._sieved_hi, segment_size=segment_size, threads=threads
         )
@@ -179,64 +185,87 @@ class GapBlockStream:
         return self._gap_max
 
     def lookahead_window(self, pair: PrimeIndexPair) -> np.ndarray:
-        """Primes in (p, p + n] from the buffer; valid once index n is emitted."""
-        lo = np.searchsorted(self._buf, pair.p, side="right")
-        hi = np.searchsorted(self._buf, pair.p + pair.n, side="right")
-        return self._buf[lo:hi].copy()
+        """Primes in (p, p + n] from the store; valid once index n is emitted."""
+        primes = self._store[: self._tail]
+        lo = np.searchsorted(primes, pair.p, side="right")
+        hi = np.searchsorted(primes, pair.p + pair.n, side="right")
+        return primes[lo:hi].copy()
 
     def _extend(self) -> None:
-        """Sieve one more segment into the buffer, trimming consumed entries."""
-        if self._emit:
-            self._buf = self._buf[self._emit :]
-            self._first_n += self._emit
-            self._emit = 0
+        """Sieve one more segment and append its primes to the store.
+
+        When they do not fit, the live part moves to the front of the store.
+        The store is reused while it holds at least 1.25 times the live part
+        plus the new primes, and is otherwise reallocated at 1.5 times that.
+        A move thus leaves at least a fifth of the store free, so each prime
+        is copied O(1) times amortised (about twice on the way to 4.4e8), and
+        the spare room stays within half the look-ahead plus one segment.
+        """
         _, hi, primes = self._feed.next_segment()
-        if len(primes):
-            self._buf = np.concatenate([self._buf, primes])
+        head, tail, k = self._head, self._tail, len(primes)
+        if tail + k > len(self._store):
+            live = tail - head
+            if 4 * len(self._store) >= 5 * (live + k):
+                self._store[:live] = self._store[head:tail]  # overlap-safe in numpy
+            else:
+                store = np.empty(3 * (live + k) // 2, dtype=np.int64)
+                store[:live] = self._store[head:tail]
+                self._store = store
+            self._first_n += head
+            self._head, self._tail = 0, live
+        self._store[self._tail : self._tail + k] = primes
+        self._tail += k
         self._sieved_hi = hi
 
     def _ready_run(self) -> int:
         """Length of the emittable run at the cursor; 0 means exhausted.
 
-        Extends the buffer until either the prime at the cursor exceeds the
-        limit (exhausted) or at least one index is emittable: its window
-        p + n fully sieved and its successor prime present.
+        Extends the store until either the prime at the cursor exceeds the
+        limit (exhausted) or at least one index is emittable: p <= limit, its
+        window p + n fully sieved and its successor prime present.  Both p
+        and p + n increase with n, so the emittable positions are a prefix
+        of the live part, found by binary search.
         """
         while True:
-            buf, emit = self._buf, self._emit
-            if emit < len(buf) and buf[emit] > self.limit:
+            store, head, tail = self._store, self._head, self._tail
+            if head < tail and store[head] > self.limit:
                 return 0
-            if emit < len(buf) - 1:
-                head = buf[emit:-1]
-                ns = np.arange(
-                    self._first_n + emit,
-                    self._first_n + emit + len(head),
-                    dtype=np.int64,
-                )
-                ok = (head <= self.limit) & (head + ns < self._sieved_hi)
-                if ok[0]:
-                    bad = np.flatnonzero(~ok)
-                    return int(bad[0]) if len(bad) else len(ok)
+            limit, bound = self.limit, self._sieved_hi - self._first_n
+            run = bisect_left(
+                range(head, tail - 1),
+                True,
+                key=lambda i: bool(store[i] > limit or store[i] + i >= bound),
+            )
+            if run:
+                return run
             self._extend()
 
     def _take(self, count: int) -> Block:
         """Emit `count` indices starting at the cursor as one Block."""
-        i0, i1 = self._emit, self._emit + count
-        buf = self._buf
-        ps = buf[i0:i1]
+        i0, i1 = self._head, self._head + count
+        store = self._store
+        ps = store[i0:i1].copy()  # later moves overwrite the store
         ns = np.arange(self._first_n + i0, self._first_n + i1, dtype=np.int64)
-        gaps = buf[i0 + 1 : i1 + 1] - ps
+        gaps = store[i0 + 1 : i1 + 1] - ps
         targets = ps + ns
-        margins = (
-            np.searchsorted(buf, targets, side="right") + (self._first_n - 1) - ns
-        )
+        # Every prime up to the last target is in the store.  Merge the targets
+        # into the slice of it they span: a stable sort of two sorted runs is
+        # a linear merge, and keeps a prime ahead of an equal target.  Target
+        # k then follows k targets and pos - k slice primes, so lo + pos - k
+        # primes beyond p_0 are <= p_k + n_k, and k of them are <= p_k.
+        after = store[i0 + 1 : self._tail]
+        lo = int(np.searchsorted(after, targets[0], side="right"))
+        hi = int(np.searchsorted(after, targets[-1], side="right"))
+        merged = np.argsort(np.concatenate([after[lo:hi], targets]), kind="stable")
+        pos = np.flatnonzero(merged >= hi - lo)
+        margins = pos + (lo + 2 * ns[0]) - 2 * ns
         running = np.maximum.accumulate(gaps)
         prev = np.empty_like(running)
         prev[0] = self._gap_max
         np.maximum(running[:-1], self._gap_max, out=prev[1:])
         is_maximal = gaps > prev
         self._gap_max = max(self._gap_max, int(running[-1]))
-        self._emit = i1
+        self._head = i1
         return Block(ns=ns, ps=ps, gaps=gaps, margins=margins, is_maximal=is_maximal)
 
     def blocks(self) -> Iterator[Block]:
@@ -249,7 +278,7 @@ class GapBlockStream:
                 while run:
                     take = run
                     if self.cut_every:
-                        first_n = self._first_n + self._emit
+                        first_n = self._first_n + self._head
                         room = self.cut_every - (first_n - 1) % self.cut_every
                         take = min(take, room)
                     yield self._take(take)

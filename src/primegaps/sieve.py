@@ -134,6 +134,8 @@ def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.nda
 
 def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(limit): the number of primes <= limit (0 for limit < 2)."""
+    if segment_size < 1:
+        raise ValueError(f"segment_size must be positive, got {segment_size}")
     if limit < 2:
         return 0
     if limit > MAX_LIMIT:

@@ -491,6 +491,8 @@ def resume(
 
     The configuration must select exactly the checks stored in the
     checkpoint, and its limit must not lie below the checkpoint position.
+    The stored look-ahead must be strictly ascending within
+    (last_p, last_p + last_n], as the stream's binary search relies on it.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
@@ -506,15 +508,25 @@ def resume(
             f"{sorted(config.checks)} do not match checkpointed checks "
             f"{sorted(checkpoint.violation_counts)}"
         )
-    if len(checkpoint.lookahead) == 0:
+    lookahead = np.asarray(checkpoint.lookahead, dtype=np.int64)
+    if len(lookahead) == 0:
         raise IncompatibleResumeError("checkpoint look-ahead buffer is empty")
+    reach = checkpoint.last_p + checkpoint.last_n
+    if (
+        lookahead[0] <= checkpoint.last_p
+        or lookahead[-1] > reach
+        or np.any(lookahead[1:] <= lookahead[:-1])
+    ):
+        raise IncompatibleResumeError(
+            f"checkpoint look-ahead is not strictly ascending within ({checkpoint.last_p}, {reach}]"
+        )
     counts = {name: checkpoint.violation_counts[name] for name in config.checks}
     firsts = dict(checkpoint.first_violations)
     maximal = list(checkpoint.maximal_records)
     seed = _StreamSeed(
         next_n=checkpoint.last_n + 1,
-        lookahead=np.asarray(checkpoint.lookahead, dtype=np.int64),
-        covered_through=checkpoint.last_p + checkpoint.last_n,
+        lookahead=lookahead,
+        covered_through=reach,
         gap_max=checkpoint.gap_max,
     )
     return _execute(

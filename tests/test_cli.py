@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,14 @@ import numpy as np
 import pytest
 
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
-from primegaps.verify import CHECKS, CheckDef, RunConfig, run_verification
+from primegaps.verify import (
+    CHECKS,
+    CheckDef,
+    RunConfig,
+    read_checkpoint,
+    run_verification,
+    write_checkpoint,
+)
 
 
 def run_cli(capsys, *argv):
@@ -82,6 +90,17 @@ def test_pi(capsys):
     assert code == EXIT_OK and out == "x,pi\n1000000,78498\n"
     code, _, err = run_cli(capsys, "pi", "--", "-5")
     assert code == EXIT_ERROR and "error:" in err
+
+
+def test_bad_segment_size_is_operational_error(capsys):
+    for argv in (
+        ["pi", "100", "--segment-size", "-5"],
+        ["bounds", "97", "--segment-size", "-1"],
+        ["pi", "100", "--segment-size", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_ERROR and out == ""
+        assert err.startswith("error: segment_size must be positive") and err.count("\n") == 1
 
 
 def test_verify_clean_run(capsys):
@@ -203,6 +222,20 @@ def test_verify_cli_resume_continues_interrupted_run(tmp_path, capsys):
     assert resumed_lines[0] == full_lines[0]
     assert resumed_lines[1] == full_lines[601]  # first record after n=600
     assert full_lines[:1] + full_lines[601:] == resumed_lines
+
+
+def test_verify_resume_rejects_reordered_lookahead(tmp_path, capsys):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    ck = read_checkpoint(path)
+    assert ck.last_n == 3000
+    write_checkpoint(path, dataclasses.replace(ck, lookahead=ck.lookahead[::-1].copy()))
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR
+    assert not [line for line in out.splitlines() if line.startswith("#")]  # no summary
+    assert err.startswith("error: checkpoint look-ahead is not strictly ascending")
 
 
 def test_bounds_cli(capsys):

@@ -9,6 +9,7 @@ from primegaps.gaps import (
     GapBlockStream,
     GapRecord,
     PrimeIndexPair,
+    _StreamSeed,
     gap_stream,
     gap_witness,
     maximal_gaps,
@@ -176,3 +177,41 @@ def test_stream_segment_size_invariance(size):
         (r.n, r.p, r.gap, r.is_maximal, r.theorem1_margin) for r in gap_stream(20_000)
     ]
     assert small == default
+
+
+@pytest.mark.parametrize("seeded_at", [None, 700])
+def test_blocks_stay_valid_after_the_stream_moves_on(seeded_at):
+    # Build every block before reading any: with small segments the store is
+    # moved and reallocated many times, which must not change a held block.
+    limit = 60_000
+    ref = primes_up_to(limit + 10_000)
+    if seeded_at is None:
+        seed, first = None, 0
+    else:
+        p = int(ref[seeded_at - 1])
+        window = ref[(ref > p) & (ref <= p + seeded_at)]
+        gap_max = int(np.diff(ref[: seeded_at + 1]).max())
+        seed = _StreamSeed(
+            next_n=seeded_at + 1, lookahead=window, covered_through=p + seeded_at, gap_max=gap_max
+        )
+        first = seeded_at
+    blocks = list(GapBlockStream(limit, segment_size=1 << 10, seed=seed).blocks())
+    ps = np.concatenate([b.ps for b in blocks])
+    gaps = np.concatenate([b.gaps for b in blocks])
+    margins = np.concatenate([b.margins for b in blocks])
+    is_maximal = np.concatenate([b.is_maximal for b in blocks])
+
+    count = len(primes_up_to(limit))
+    assert ps.tolist() == ref[first:count].tolist()
+    assert gaps.tolist() == (ref[first + 1 : count + 1] - ref[first:count]).tolist()
+    expected_margins = []
+    best = 0
+    expected_maximal = []
+    for n in range(1, count + 1):
+        p, gap = int(ref[n - 1]), int(ref[n] - ref[n - 1])
+        if n > first:
+            expected_margins.append(int(np.count_nonzero(ref[n : n + n] <= p + n)))
+            expected_maximal.append(gap > best)
+        best = max(best, gap)
+    assert margins.tolist() == expected_margins
+    assert is_maximal.tolist() == expected_maximal

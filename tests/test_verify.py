@@ -299,6 +299,15 @@ def test_resume_validation(tmp_path):
     stale = dataclasses.replace(ck, version=CHECKPOINT_VERSION + 1)
     with pytest.raises(CheckpointVersionError):
         resume(stale, RunConfig(limit=1000, checks=("theorem1",)))
+    for bad in (
+        [113, 109, 107, 103, 101],  # reversed
+        [101, 103, 103, 107, 109, 113],  # repeated
+        [97, 101, 103, 107, 109, 113],  # reaches back to last_p
+        [101, 103, 107, 109, 113, 127],  # beyond last_p + last_n = 122
+    ):
+        disordered = dataclasses.replace(ck, lookahead=np.array(bad, dtype=np.int64))
+        with pytest.raises(IncompatibleResumeError, match="strictly ascending within"):
+            resume(disordered, RunConfig(limit=1000, checks=("theorem1",)))
 
 
 def test_reproduce_table1_subset():
