@@ -1,33 +1,18 @@
 """Prime gap records, analytic gap bounds, and batch verification runs."""
 
 from .bounds import (
-    BoundKind,
-    BoundVerdict,
+    BOUNDS,
+    Bound,
     ChainStage,
     andrica_bound,
-    andrica_verdict,
-    bertrand_verdict,
     chain_tail_excess,
     corollary1_bound,
-    corollary1_verdict,
     dusart_lower,
-    dusart_lower_verdict,
     dusart_upper,
-    dusart_upper_verdict,
     empirical_bound,
-    empirical_verdict,
-    epsilon_verdict,
     proof_chain_check,
 )
-from .gaps import (
-    GapRecord,
-    GapWitness,
-    PrimeIndexPair,
-    gap_stream,
-    gap_witness,
-    maximal_gaps,
-    theorem1_margin,
-)
+from .gaps import GapRecord, GapWitness, gap_stream, gap_witness, maximal_gaps
 from .sieve import is_prime_oracle, next_prime, prime_count, primes_up_to
 from .verify import (
     Checkpoint,

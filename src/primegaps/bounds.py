@@ -1,239 +1,180 @@
-"""Closed-form bounds on prime counts and prime gaps, with verdict records.
+"""Closed-form bounds on prime counts and prime gaps, each defined once.
 
-``log`` is the natural logarithm throughout.  Comparisons that decide a
-verdict are guarded against float rounding: when the two sides agree to
-within 1e-9 (relative), the comparison is re-evaluated either exactly in
-integer/rational arithmetic (where the bound permits) or in 50-digit
-floating point via mpmath, and the verdict is flagged `marginal`.
+``log`` is the natural logarithm throughout.  Every inequality is one `Bound`
+in `GAP_BOUNDS` (the gap after the prime x) or `COUNT_BOUNDS` (pi(x)).  Its
+expression is written once, as a function of x and a backend: `MATH` for
+printed values, `NUMPY` for blocks of primes, `MPMATH` for re-decisions.
+A bound with an `exact` rule is decided in integer arithmetic.  Any other is
+compared in floats; when the two sides agree to within 1e-9 (relative) the
+comparison is re-decided in 50-digit arithmetic and flagged marginal.
 """
 
 from __future__ import annotations
 
-import enum
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import mpmath
+import numpy as np
 
-DUSART_UPPER_MIN_X = 60184
-DUSART_LOWER_MIN_X = 5393
-COROLLARY1_MIN_P = 5
+from .sieve import prime_count
+
 CHAIN_MIN_P = 60184  # chain stages valid for p strictly above this
 MARGINAL_RTOL = 1e-9
 _RECHECK_DPS = 50
 
-# (numerator, denominator, min_index): gap(p_n) < (num/den) * p_n for n > min_index.
-EPSILON_PAIRS: tuple[tuple[int, int, int], ...] = (
-    (1, 5, 9),
-    (1, 13, 118),
-    (1, 16597, 2010760),
-)
+
+class Backend(NamedTuple):
+    """What a bound expression is evaluated with; `const` parses a decimal literal."""
+
+    log: Callable
+    sqrt: Callable
+    const: Callable[[str], Any]
 
 
-class BoundKind(enum.Enum):
-    DUSART_UPPER = "dusart_upper"
-    DUSART_LOWER = "dusart_lower"
-    COROLLARY1 = "corollary1"
-    EMPIRICAL = "empirical"
-    BERTRAND = "bertrand"
-    ANDRICA = "andrica"
-    EPSILON = "epsilon"
+MATH = Backend(math.log, math.sqrt, float)
+NUMPY = Backend(np.log, np.sqrt, float)
+# Constants are parsed at the working precision: mpf("1.1") is decimal 1.1,
+# not the binary float nearest to it.
+MPMATH = Backend(mpmath.log, mpmath.sqrt, mpmath.mpf)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundVerdict:
-    """Outcome of checking one bound at one point.
+def is_marginal(observed, bound):
+    """True where the two sides are too close for a float comparison to be trusted.
 
-    `slack` is bound_value - observed (positive when the bound has room);
-    `marginal` marks verdicts that needed the high-precision re-check.
+    Works on scalars and on numpy arrays alike.
+    """
+    scale = np.maximum(np.maximum(1.0, np.abs(bound)), np.abs(observed))
+    return np.abs(bound - observed) <= MARGINAL_RTOL * scale
+
+
+@dataclass(frozen=True)
+class Bound:
+    """The inequality ``observed op value(x)`` at the prime (or point) x.
+
+    `value(x, backend)` is the bound's one expression.  `exact(x, observed)`,
+    when given, decides the inequality in integer arithmetic, on ints or on
+    int64 arrays.  The bound applies where x >= min_x and the prime index
+    n > min_index; `note` (formatted with x) is shown where it applies.
     """
 
-    kind: BoundKind
-    at: int
-    bound_value: float
-    observed: float
-    holds: bool
-    slack: float
-    marginal: bool = False
+    name: str
+    description: str
+    value: Callable[[Any, Backend], Any]
+    exact: Callable[[Any, Any], Any] | None = None
+    op: Callable[[Any, Any], Any] = operator.lt
+    min_x: int = 2
+    min_index: int = 0
     note: str = ""
 
+    @cached_property
+    def first_index(self) -> int:
+        """Smallest prime index n the bound applies to."""
+        return max(self.min_index + 1, prime_count(self.min_x - 1) + 1)
 
-def is_marginal(observed: float, bound: float) -> bool:
-    """True when the two sides are too close for float comparison to be trusted."""
-    return abs(bound - observed) <= MARGINAL_RTOL * max(1.0, abs(bound), abs(observed))
+    def at(self, x: int) -> float:
+        """The bound's value at x, in floats."""
+        if x < self.min_x:
+            raise ValueError(f"{self.name} bound requires x >= {self.min_x}, got {x}")
+        return float(self.value(x, MATH))
 
+    def decide(self, x: int, observed: int) -> tuple[bool, bool]:
+        """(holds, marginal) at one point; marginal means re-decided at 50 digits."""
+        if self.exact is not None:
+            return bool(self.exact(x, observed)), False
+        bound = self.at(x)
+        if not is_marginal(observed, bound):
+            return bool(self.op(observed, bound)), False
+        with mpmath.workdps(_RECHECK_DPS):
+            return bool(self.op(mpmath.mpf(observed), self.value(x, MPMATH))), True
 
-def dusart_upper(x: float) -> float:
-    """Prime-count upper bound x / (log x - 1.1), valid for x >= 60184."""
-    if x < DUSART_UPPER_MIN_X:
-        raise ValueError(f"dusart_upper requires x >= {DUSART_UPPER_MIN_X}, got {x}")
-    return x / (math.log(x) - 1.1)
-
-
-def dusart_lower(x: float) -> float:
-    """Prime-count lower bound x / (log x - 1), valid for x >= 5393."""
-    if x < DUSART_LOWER_MIN_X:
-        raise ValueError(f"dusart_lower requires x >= {DUSART_LOWER_MIN_X}, got {x}")
-    return x / (math.log(x) - 1)
-
-
-def corollary1_bound(p: int) -> float:
-    """Gap bound p / (log p - 1.1) for primes p >= 5."""
-    if p < COROLLARY1_MIN_P:
-        raise ValueError(f"corollary1_bound requires p >= {COROLLARY1_MIN_P}, got {p}")
-    return p / (math.log(p) - 1.1)
-
-
-def empirical_bound(p: int) -> float:
-    """Observed-envelope gap bound (p + 1) / log p, stated for all p >= 2."""
-    if p < 2:
-        raise ValueError(f"empirical_bound requires p >= 2, got {p}")
-    return (p + 1) / math.log(p)
-
-
-def andrica_bound(p: int) -> float:
-    """Gap bound 2*sqrt(p) + 1 (equivalent to sqrt(p + g) - sqrt(p) < 1)."""
-    if p < 2:
-        raise ValueError(f"andrica_bound requires p >= 2, got {p}")
-    return 2.0 * math.sqrt(p) + 1.0
-
-def corollary1_holds(p: int, gap: int) -> tuple[bool, bool]:
-    """(holds, marginal) for gap < p / (log p - 1.1)."""
-    bound = corollary1_bound(p)
-    if not is_marginal(gap, bound):
-        return gap < bound, False
-    with mpmath.workdps(_RECHECK_DPS):
-        holds = mpmath.mpf(gap) < p / (mpmath.log(p) - mpmath.mpf("1.1"))
-    return bool(holds), True
+    def holds_many(self, xs: np.ndarray, observed: np.ndarray) -> np.ndarray:
+        """Vector decision over int64 arrays; near ties go to the scalar decision."""
+        if self.exact is not None:
+            return self.exact(xs, observed)
+        bound = self.value(xs, NUMPY)
+        ok = self.op(observed, bound)
+        # Found by name at call time, so a wrapper on bounds.<name>_holds sees each call.
+        recheck = globals().get(f"{self.name}_holds", self.decide)
+        for i in np.flatnonzero(is_marginal(observed, bound)):
+            ok[i] = recheck(int(xs[i]), int(observed[i]))[0]
+        return ok
 
 
-def empirical_holds(p: int, gap: int) -> tuple[bool, bool]:
-    """(holds, marginal) for gap < (p + 1) / log p."""
-    bound = empirical_bound(p)
-    if not is_marginal(gap, bound):
-        return gap < bound, False
-    with mpmath.workdps(_RECHECK_DPS):
-        holds = mpmath.mpf(gap) < (mpmath.mpf(p) + 1) / mpmath.log(p)
-    return bool(holds), True
+def _x_over_log_minus(c: str) -> Callable[[Any, Backend], Any]:
+    """x / (log x - c), the form of corollary1 and of both prime-count bounds."""
+    return lambda x, xp: x / (xp.log(x) - xp.const(c))
+
+
+_X_OVER_LOG_MINUS_1_1 = _x_over_log_minus("1.1")
+
+
+def _epsilon(den: int, min_index: int) -> Bound:
+    return Bound(
+        f"epsilon_1_{den}",
+        f"gap(p_n) < p_n / {den} for n > {min_index}",
+        lambda p, xp: p / den,
+        exact=lambda p, gap: gap * den < p,
+        min_index=min_index,
+        note=f"epsilon=1/{den}, applies for n > {min_index}",
+    )
+
+
+# Bounds on gap(p), the distance from the prime p to the next prime.
+GAP_BOUNDS: tuple[Bound, ...] = (
+    Bound("bertrand", "gap(p_n) < p_n", lambda p, xp: p, exact=lambda p, gap: gap < p),
+    Bound("corollary1", "gap(p) < p / (log p - 1.1) for p >= 5", _X_OVER_LOG_MINUS_1_1, min_x=5),
+    Bound("empirical", "gap(p) < (p + 1) / log p", lambda p, xp: (p + 1) / xp.log(p)),
+    Bound(
+        "andrica",
+        "gap(p) < 2*sqrt(p) + 1",
+        lambda p, xp: 2 * xp.sqrt(p) + 1,
+        exact=lambda p, gap: (gap - 1) ** 2 < 4 * p,  # the same inequality for gap >= 1
+    ),
+    _epsilon(5, 9),
+    _epsilon(13, 118),
+    _epsilon(16597, 2010760),
+)
+
+# Bounds on pi(x), non-strict, valid from min_x on.
+COUNT_BOUNDS: tuple[Bound, ...] = (
+    Bound(
+        "dusart_lower",
+        "pi(x) >= x / (log x - 1) for x >= 5393",
+        _x_over_log_minus("1"),
+        op=operator.ge,
+        min_x=5393,
+        note="pi({x}) >= bound",
+    ),
+    Bound(
+        "dusart_upper",
+        "pi(x) <= x / (log x - 1.1) for x >= 60184",
+        _X_OVER_LOG_MINUS_1_1,
+        op=operator.le,
+        min_x=60184,
+        note="pi({x}) <= bound",
+    ),
+)
+
+BOUNDS: dict[str, Bound] = {b.name: b for b in GAP_BOUNDS + COUNT_BOUNDS}
+
+dusart_lower = BOUNDS["dusart_lower"].at
+dusart_upper = BOUNDS["dusart_upper"].at
+corollary1_bound = BOUNDS["corollary1"].at
+empirical_bound = BOUNDS["empirical"].at
+andrica_bound = BOUNDS["andrica"].at
+corollary1_holds = BOUNDS["corollary1"].decide
+empirical_holds = BOUNDS["empirical"].decide
 
 
 def andrica_holds(p: int, gap: int) -> bool:
-    """gap < 2*sqrt(p) + 1, decided exactly: (gap - 1)^2 < 4p for gap >= 1."""
+    """gap < 2*sqrt(p) + 1, decided exactly; requires gap >= 1."""
     if gap < 1:
         raise ValueError(f"gap must be >= 1, got {gap}")
-    return (gap - 1) ** 2 < 4 * p
-
-
-def bertrand_verdict(p: int, gap: int) -> BoundVerdict:
-    """Strict integer comparison gap < p (Bertrand: a prime in (p, 2p))."""
-    return BoundVerdict(
-        kind=BoundKind.BERTRAND,
-        at=p,
-        bound_value=float(p),
-        observed=float(gap),
-        holds=gap < p,
-        slack=float(p - gap),
-    )
-
-
-def corollary1_verdict(p: int, gap: int) -> BoundVerdict:
-    bound = corollary1_bound(p)
-    holds, marginal = corollary1_holds(p, gap)
-    return BoundVerdict(
-        kind=BoundKind.COROLLARY1,
-        at=p,
-        bound_value=bound,
-        observed=float(gap),
-        holds=holds,
-        slack=bound - gap,
-        marginal=marginal,
-    )
-
-
-def empirical_verdict(p: int, gap: int) -> BoundVerdict:
-    bound = empirical_bound(p)
-    holds, marginal = empirical_holds(p, gap)
-    return BoundVerdict(
-        kind=BoundKind.EMPIRICAL,
-        at=p,
-        bound_value=bound,
-        observed=float(gap),
-        holds=holds,
-        slack=bound - gap,
-        marginal=marginal,
-    )
-
-
-def andrica_verdict(p: int, gap: int) -> BoundVerdict:
-    bound = andrica_bound(p)
-    return BoundVerdict(
-        kind=BoundKind.ANDRICA,
-        at=p,
-        bound_value=bound,
-        observed=float(gap),
-        holds=andrica_holds(p, gap),
-        slack=bound - gap,
-    )
-
-
-def epsilon_verdict(n: int, p: int, gap: int, num: int, den: int, min_index: int) -> BoundVerdict | None:
-    """Strict bound gap < (num/den) * p, applicable only for indices n > min_index.
-
-    Returns None when the index is outside the bound's range.  The comparison
-    is exact (cross-multiplied integers), so it is never marginal.
-    """
-    if n <= min_index:
-        return None
-    bound = num * p / den
-    return BoundVerdict(
-        kind=BoundKind.EPSILON,
-        at=p,
-        bound_value=bound,
-        observed=float(gap),
-        holds=gap * den < num * p,
-        slack=bound - gap,
-        note=f"epsilon={num}/{den}, applies for n > {min_index}",
-    )
-
-
-def dusart_upper_verdict(x: int, pi_x: int) -> BoundVerdict:
-    """Non-strict pi(x) <= x / (log x - 1.1)."""
-    bound = dusart_upper(x)
-    if not is_marginal(pi_x, bound):
-        holds, marginal = pi_x <= bound, False
-    else:
-        with mpmath.workdps(_RECHECK_DPS):
-            holds = mpmath.mpf(pi_x) <= x / (mpmath.log(x) - mpmath.mpf("1.1"))
-        holds, marginal = bool(holds), True
-    return BoundVerdict(
-        kind=BoundKind.DUSART_UPPER,
-        at=x,
-        bound_value=bound,
-        observed=float(pi_x),
-        holds=holds,
-        slack=bound - pi_x,
-        marginal=marginal,
-    )
-
-
-def dusart_lower_verdict(x: int, pi_x: int) -> BoundVerdict:
-    """Non-strict pi(x) >= x / (log x - 1)."""
-    bound = dusart_lower(x)
-    if not is_marginal(pi_x, bound):
-        holds, marginal = pi_x >= bound, False
-    else:
-        with mpmath.workdps(_RECHECK_DPS):
-            holds = mpmath.mpf(pi_x) >= x / (mpmath.log(x) - 1)
-        holds, marginal = bool(holds), True
-    return BoundVerdict(
-        kind=BoundKind.DUSART_LOWER,
-        at=x,
-        bound_value=bound,
-        observed=float(pi_x),
-        holds=holds,
-        slack=pi_x - bound,
-        marginal=marginal,
-    )
+    return BOUNDS["andrica"].decide(p, gap)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import ROUND_HALF_UP, Decimal
 
 from . import bounds
 from .gaps import GapRecord, gap_stream, gap_witness, maximal_gaps
@@ -23,6 +22,7 @@ from .verify import (
     CHECKS,
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_CHECKS,
+    EMIT_MODES,
     TABLE1_LIMIT,
     CheckpointError,
     RunConfig,
@@ -30,6 +30,7 @@ from .verify import (
     read_checkpoint,
     reproduce_table1,
     resume,
+    round1,
     run_verification,
     table1_mismatches,
 )
@@ -43,11 +44,6 @@ FORMATS = ("csv", "jsonl", "table")
 
 RECORD_CSV_HEADER = "n,p,gap,is_maximal,theorem1_margin"
 _RECORD_TABLE_HEADER = f"{'n':>10} {'p':>12} {'gap':>6} {'max':>4} {'margin':>10}"
-
-
-def _round1(value: float) -> str:
-    """One-decimal string, rounding halves away from zero."""
-    return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 class RecordWriter:
@@ -67,15 +63,7 @@ class RecordWriter:
         if self.fmt == "csv":
             line = f"{r.n},{r.p},{r.gap},{str(r.is_maximal).lower()},{r.theorem1_margin}"
         elif self.fmt == "jsonl":
-            line = json.dumps(
-                {
-                    "n": r.n,
-                    "p": r.p,
-                    "gap": r.gap,
-                    "is_maximal": r.is_maximal,
-                    "theorem1_margin": r.theorem1_margin,
-                }
-            )
+            line = json.dumps(_record_json_obj(r))
         else:
             star = "*" if r.is_maximal else "-"
             line = f"{r.n:>10} {r.p:>12} {r.gap:>6} {star:>4} {r.theorem1_margin:>10}"
@@ -179,65 +167,35 @@ def cmd_pi(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bound_row(b: bounds.Bound, n: int, x: int, observed: int, var: str) -> tuple:
+    """(name, bound value, observed, holds, note) of one bound at the prime x = p_n."""
+    if x < b.min_x:
+        return b.name, None, float(observed), None, f"not applicable ({var} < {b.min_x})"
+    if n <= b.min_index:
+        return b.name, None, float(observed), None, f"not applicable (n <= {b.min_index})"
+    return b.name, b.at(x), float(observed), b.decide(x, observed)[0], b.note.format(x=x)
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     p = args.p
     if p < 2 or not is_prime_oracle(p):
         raise ValueError(f"{p} is not a prime number")
     n = prime_count(p, segment_size=args.segment_size)
     gap = next_prime(p) - p
-    pi_p = n
-
-    rows: list[tuple[str, object, float, bool | None, str]] = []
-
-    def add(name: str, verdict, note: str = "") -> None:
-        rows.append(
-            (name, verdict.bound_value, verdict.observed, verdict.holds, note or verdict.note)
-        )
-
-    add("bertrand", bounds.bertrand_verdict(p, gap))
-    if p >= bounds.COROLLARY1_MIN_P:
-        add("corollary1", bounds.corollary1_verdict(p, gap))
-    else:
-        rows.append(("corollary1", None, float(gap), None, f"not applicable (p < {bounds.COROLLARY1_MIN_P})"))
-    add("empirical", bounds.empirical_verdict(p, gap))
-    add("andrica", bounds.andrica_verdict(p, gap))
-    for num, den, min_index in bounds.EPSILON_PAIRS:
-        name = f"epsilon_{num}_{den}"
-        verdict = bounds.epsilon_verdict(n, p, gap, num, den, min_index)
-        if verdict is None:
-            rows.append((name, None, float(gap), None, f"not applicable (n <= {min_index})"))
-        else:
-            add(name, verdict)
-    if p >= bounds.DUSART_LOWER_MIN_X:
-        add("dusart_lower", bounds.dusart_lower_verdict(p, pi_p), note=f"pi({p}) >= bound")
-    else:
-        rows.append(("dusart_lower", None, float(pi_p), None, f"not applicable (x < {bounds.DUSART_LOWER_MIN_X})"))
-    if p >= bounds.DUSART_UPPER_MIN_X:
-        add("dusart_upper", bounds.dusart_upper_verdict(p, pi_p), note=f"pi({p}) <= bound")
-    else:
-        rows.append(("dusart_upper", None, float(pi_p), None, f"not applicable (x < {bounds.DUSART_UPPER_MIN_X})"))
+    rows = [_bound_row(b, n, p, gap, "p") for b in bounds.GAP_BOUNDS]
+    rows += [_bound_row(b, n, p, n, "x") for b in bounds.COUNT_BOUNDS]
 
     out = sys.stdout
     if args.format == "jsonl":
         out.write(json.dumps({"p": p, "n": n, "gap": gap}) + "\n")
-        for name, bound_value, observed, holds, note in rows:
-            out.write(
-                json.dumps(
-                    {
-                        "check": name,
-                        "bound_value": bound_value,
-                        "observed": observed,
-                        "holds": holds,
-                        "note": note,
-                    }
-                )
-                + "\n"
-            )
+        keys = ("check", "bound_value", "observed", "holds", "note")
+        for row in rows:
+            out.write(json.dumps(dict(zip(keys, row))) + "\n")
     elif args.format == "csv":
         out.write(f"# p = {p}, n = {n}, gap = {gap}\n")
         out.write("check,bound_value,observed,holds,note\n")
         for name, bound_value, observed, holds, note in rows:
-            bv = "" if bound_value is None else repr(float(bound_value))
+            bv = "" if bound_value is None else repr(bound_value)
             hv = "" if holds is None else str(holds).lower()
             out.write(f"{name},{bv},{observed},{hv},{note}\n")
     else:
@@ -268,7 +226,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         for row in rows:
             out.write(
                 f"{row.n},{row.p},{row.gap},{str(row.starred).lower()},"
-                f"{row.margin},{_round1(row.bound)}\n"
+                f"{row.margin},{round1(row.bound)}\n"
             )
     elif args.format == "jsonl":
         for row in rows:
@@ -280,7 +238,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
                         "gap": row.gap,
                         "starred": row.starred,
                         "margin": row.margin,
-                        "bound": float(_round1(row.bound)),
+                        "bound": float(round1(row.bound)),
                     }
                 )
                 + "\n"
@@ -290,7 +248,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
         for row in rows:
             gap_text = f"{row.gap}{'*' if row.starred else ''}"
             out.write(
-                f"{row.n:>10} {row.p:>12} {gap_text:>7} {row.margin:>9} {_round1(row.bound):>14}\n"
+                f"{row.n:>10} {row.p:>12} {gap_text:>7} {row.margin:>9} {round1(row.bound):>14}\n"
             )
     problems = table1_mismatches(rows, args.max_prime)
     for problem in problems:
@@ -365,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--resume", action="store_true", help="continue from --checkpoint")
     p_verify.add_argument(
         "--emit",
-        choices=("all", "maximal", "violations"),
+        choices=EMIT_MODES,
         default="maximal",
         help="which records to stream before the summary (default %(default)s)",
     )
@@ -415,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OverflowError, OSError) as exc:
+    except (CheckpointError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

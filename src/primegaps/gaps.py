@@ -34,20 +34,6 @@ WITNESS_MAX_M = 13
 
 
 @dataclass(frozen=True, slots=True)
-class PrimeIndexPair:
-    """The n-th prime (1-based): pair (n, p) with p_1 = 2."""
-
-    n: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"prime index must be >= 1, got {self.n}")
-        if self.p < 2:
-            raise ValueError(f"prime must be >= 2, got {self.p}")
-
-
-@dataclass(frozen=True, slots=True)
 class GapRecord:
     """Gap data for one prime: index, prime, gap to next prime, record flag,
     and the look-ahead margin (count of primes in (p, p + n])."""
@@ -184,11 +170,11 @@ class GapBlockStream:
         """Largest gap seen among emitted indices (plus any seeded history)."""
         return self._gap_max
 
-    def lookahead_window(self, pair: PrimeIndexPair) -> np.ndarray:
-        """Primes in (p, p + n] from the store; valid once index n is emitted."""
+    def lookahead_window(self, n: int, p: int) -> np.ndarray:
+        """Primes in (p, p + n] for p = p_n; valid once index n is emitted."""
         primes = self._store[: self._tail]
-        lo = np.searchsorted(primes, pair.p, side="right")
-        hi = np.searchsorted(primes, pair.p + pair.n, side="right")
+        lo = np.searchsorted(primes, p, side="right")
+        hi = np.searchsorted(primes, p + n, side="right")
         return primes[lo:hi].copy()
 
     def _extend(self) -> None:
@@ -310,33 +296,6 @@ def maximal_gaps(
         for i in np.flatnonzero(block.is_maximal):
             out.append(block.record_at(int(i)))
     return out
-
-
-def theorem1_margin(
-    pair: PrimeIndexPair,
-    window: np.ndarray,
-    covered_through: int | None = None,
-) -> int:
-    """Count primes q with p < q <= p + n given a look-ahead `window` of primes.
-
-    `window` must be ascending and contain every prime in (p, p + n].  The
-    caller vouches for coverage via `covered_through` (the highest integer the
-    window accounts for); when omitted, the window's last element must itself
-    reach p + n.  Raises ValueError if coverage cannot be established.
-    """
-    w = np.asarray(window, dtype=np.int64)
-    if len(w) and np.any(np.diff(w) <= 0):
-        raise ValueError("look-ahead window must be strictly ascending")
-    target = pair.p + pair.n
-    reach = covered_through if covered_through is not None else (int(w[-1]) if len(w) else pair.p)
-    if reach < target:
-        raise ValueError(
-            f"look-ahead window covers integers up to {reach}, "
-            f"but the margin at n={pair.n}, p={pair.p} needs coverage through {target}"
-        )
-    lo = np.searchsorted(w, pair.p, side="right")
-    hi = np.searchsorted(w, target, side="right")
-    return int(hi - lo)
 
 
 def gap_witness(m: int) -> GapWitness:

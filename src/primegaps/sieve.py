@@ -14,6 +14,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -115,6 +116,15 @@ def sieve_segment(segment: Segment, base: BasePrimes) -> np.ndarray:
     return (lo + np.flatnonzero(~marks)).astype(np.int64)
 
 
+def _windows_up_to(limit: int, segment_size: int) -> Iterator[np.ndarray]:
+    """The primes of each window of a single-threaded feed, cut at limit."""
+    feed = SegmentFeed(segment_size=segment_size, threads=1, limit=limit)
+    hi = 2
+    while hi <= limit:
+        _, hi, primes = feed.next_segment()
+        yield primes
+
+
 def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
     """All primes <= limit, ascending. `limit` must be at least 2."""
     if limit < 2:
@@ -123,13 +133,7 @@ def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.nda
         raise OverflowError(f"limit {limit} exceeds supported maximum {MAX_LIMIT}")
     if segment_size < 1:
         raise ValueError(f"segment_size must be positive, got {segment_size}")
-    base = BasePrimes.up_to(max(2, _ceil_sqrt(limit)))
-    parts = []
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        seg = Segment(lo=lo, hi=hi, max_size=segment_size)
-        parts.append(sieve_segment(seg, base))
-    return np.concatenate(parts)
+    return np.concatenate(list(_windows_up_to(limit, segment_size)))
 
 
 def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
@@ -140,13 +144,7 @@ def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
         return 0
     if limit > MAX_LIMIT:
         raise OverflowError(f"limit {limit} exceeds supported maximum {MAX_LIMIT}")
-    base = BasePrimes.up_to(max(2, _ceil_sqrt(limit)))
-    count = 0
-    for lo in range(2, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)
-        seg = Segment(lo=lo, hi=hi, max_size=segment_size)
-        count += len(sieve_segment(seg, base))
-    return count
+    return sum(map(len, _windows_up_to(limit, segment_size)))
 
 
 def is_prime_oracle(num: int) -> bool:
@@ -202,7 +200,8 @@ class SegmentFeed:
 
     Segments are sieved ahead on a small thread pool when more than one
     worker is configured; hand-off order is always ascending regardless of
-    completion order. Base primes grow on demand as segments climb.
+    completion order. Base primes grow on demand as segments climb.  With
+    `limit` set, the window that reaches it ends at limit + 1 and is the last.
     """
 
     def __init__(
@@ -210,6 +209,7 @@ class SegmentFeed:
         start: int = 2,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         threads: int | None = None,
+        limit: int | None = None,
     ) -> None:
         if start < 2:
             raise ValueError(f"feed must start at 2 or above, got {start}")
@@ -218,6 +218,7 @@ class SegmentFeed:
         self.segment_size = segment_size
         self.threads = sieve_threads() if threads is None else max(1, threads)
         self._next_lo = start
+        self._limit = limit
         self._base = BasePrimes.up_to(max(2, _ceil_sqrt(start + segment_size)))
         self._pool: ThreadPoolExecutor | None = None
         self._pending: deque = deque()
@@ -235,7 +236,9 @@ class SegmentFeed:
     def _submit_next(self) -> None:
         lo = self._next_lo
         hi = lo + self.segment_size
-        if hi > MAX_LIMIT:
+        if self._limit is not None:
+            hi = min(hi, self._limit + 1)
+        elif hi > MAX_LIMIT:
             raise OverflowError(f"segment end {hi} exceeds supported maximum {MAX_LIMIT}")
         self._ensure_base(hi)
         base = self._base

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import bounds
-from .gaps import Block, GapBlockStream, GapRecord, PrimeIndexPair, _StreamSeed, gap_stream
+from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
 from .sieve import DEFAULT_SEGMENT_SIZE
 
 CHECKPOINT_VERSION = 1
@@ -35,49 +35,6 @@ BlockHook = Callable[[Block], None]
 
 # --------------------------------------------------------------------------
 # check registry
-
-def _marginal_aware_less(block: Block, bound: np.ndarray, scalar_holds) -> np.ndarray:
-    """Vector strict gap < bound with the near-tie entries re-decided scalar-ly."""
-    gaps = block.gaps
-    ok = gaps < bound
-    tol = bounds.MARGINAL_RTOL * np.maximum(np.maximum(1.0, np.abs(bound)), gaps)
-    for i in np.flatnonzero(np.abs(bound - gaps) <= tol):
-        ok[i] = scalar_holds(int(block.ps[i]), int(gaps[i]))[0]
-    return ok
-
-
-def _violations_theorem1(block: Block) -> np.ndarray:
-    # gap(p_n) <= n and the equivalent margin >= 1; either failing flags the row.
-    return (block.margins < 1) | (block.gaps > block.ns)
-
-
-def _violations_bertrand(block: Block) -> np.ndarray:
-    return block.gaps >= block.ps
-
-
-def _violations_corollary1(block: Block) -> np.ndarray:
-    applicable = block.ns >= 3  # p_3 = 5
-    bound = block.ps / (np.log(block.ps) - 1.1)
-    return applicable & ~_marginal_aware_less(block, bound, bounds.corollary1_holds)
-
-
-def _violations_empirical(block: Block) -> np.ndarray:
-    bound = (block.ps + 1) / np.log(block.ps)
-    return ~_marginal_aware_less(block, bound, bounds.empirical_holds)
-
-
-def _violations_andrica(block: Block) -> np.ndarray:
-    # gap < 2*sqrt(p) + 1, exactly: (gap - 1)^2 < 4p.
-    return (block.gaps - 1) ** 2 >= 4 * block.ps
-
-
-def _epsilon_violations(num: int, den: int, min_index: int):
-    def _violations(block: Block) -> np.ndarray:
-        # gap < (num/den) * p, exactly, for indices beyond min_index.
-        return (block.ns > min_index) & (block.gaps * den >= num * block.ps)
-
-    return _violations
-
 
 @dataclass(frozen=True, slots=True)
 class CheckDef:
@@ -93,6 +50,17 @@ class CheckDef:
         return max(0, last_n - (self.first_index - 1))
 
 
+def _gap_check(b: bounds.Bound) -> CheckDef:
+    """The check of one gap bound: the rows where it applies and fails."""
+    first = b.first_index
+
+    def violations(block: Block) -> np.ndarray:
+        fails = ~b.holds_many(block.ps, block.gaps)
+        return fails & (block.ns >= first) if first > 1 else fails
+
+    return CheckDef(b.name, b.description, first, violations)
+
+
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in (
@@ -100,45 +68,10 @@ CHECKS: dict[str, CheckDef] = {
             "theorem1",
             "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
             1,
-            _violations_theorem1,
+            # either the gap or the margin failing flags the row
+            lambda block: (block.margins < 1) | (block.gaps > block.ns),
         ),
-        CheckDef("bertrand", "gap(p_n) < p_n", 1, _violations_bertrand),
-        CheckDef(
-            "corollary1",
-            "gap(p) < p / (log p - 1.1) for p >= 5",
-            3,
-            _violations_corollary1,
-        ),
-        CheckDef(
-            "empirical",
-            "gap(p) < (p + 1) / log p",
-            1,
-            _violations_empirical,
-        ),
-        CheckDef(
-            "andrica",
-            "gap(p) < 2*sqrt(p) + 1",
-            1,
-            _violations_andrica,
-        ),
-        CheckDef(
-            "epsilon_1_5",
-            "gap(p_n) < p_n / 5 for n > 9",
-            10,
-            _epsilon_violations(1, 5, 9),
-        ),
-        CheckDef(
-            "epsilon_1_13",
-            "gap(p_n) < p_n / 13 for n > 118",
-            119,
-            _epsilon_violations(1, 13, 118),
-        ),
-        CheckDef(
-            "epsilon_1_16597",
-            "gap(p_n) < p_n / 16597 for n > 2010760",
-            2010761,
-            _epsilon_violations(1, 16597, 2010760),
-        ),
+        *map(_gap_check, bounds.GAP_BOUNDS),
     )
 }
 
@@ -431,7 +364,7 @@ def _execute(
                     sink(block.record_at(int(i)))
         last_n, last_p = block.last_n, block.last_p
         if config.checkpoint_path and last_n % config.checkpoint_interval == 0:
-            lookahead = stream.lookahead_window(PrimeIndexPair(n=last_n, p=last_p))
+            lookahead = stream.lookahead_window(last_n, last_p)
             write_checkpoint(
                 config.checkpoint_path,
                 Checkpoint(
@@ -481,6 +414,47 @@ def run_verification(
     return _execute(config, sink, block_hook, counts, {}, [], None, 0, 0)
 
 
+def _check_counters(ck: Checkpoint) -> None:
+    """Raise IncompatibleResumeError unless the counters could come from a run to ck.last_n.
+
+    Index 1 (gap 1) always opens the records; each later record raises both
+    n and the gap, and gap_max is the last record's gap.  A count lies
+    between 0 and the number of indices up to last_n its check applies to,
+    and has a first violation (at n <= last_n) exactly when it is positive.
+    """
+    m = ck.maximal_records
+    if (
+        not m
+        or m[0].n != 1
+        or m[-1].n > ck.last_n
+        or any(b.n <= a.n or b.gap <= a.gap for a, b in zip(m, m[1:]))
+    ):
+        raise IncompatibleResumeError(
+            "checkpoint maximal records do not rise strictly in n and gap "
+            f"from n = 1 to n <= last_n = {ck.last_n}"
+        )
+    if ck.gap_max != m[-1].gap:
+        raise IncompatibleResumeError(
+            f"checkpoint gap_max = {ck.gap_max} is not the last maximal record's gap {m[-1].gap}"
+        )
+    for name, count in ck.violation_counts.items():
+        applied = CHECKS[name].applied_count(ck.last_n)
+        if not 0 <= count <= applied:
+            raise IncompatibleResumeError(
+                f"checkpoint count {name}:{count} lies outside [0, {applied}], "
+                f"the indices the check applies to up to last_n = {ck.last_n}"
+            )
+    for name in ck.violation_counts.keys() | ck.first_violations.keys():
+        first = ck.first_violations.get(name)
+        if (first is None) != (ck.violation_counts.get(name, 0) == 0) or (
+            first is not None and first.n > ck.last_n
+        ):
+            raise IncompatibleResumeError(
+                f"checkpoint first violation of {name} does not fit its count "
+                f"{ck.violation_counts.get(name, 0)} up to last_n = {ck.last_n}"
+            )
+
+
 def resume(
     checkpoint: Checkpoint,
     config: RunConfig,
@@ -492,7 +466,8 @@ def resume(
     The configuration must select exactly the checks stored in the
     checkpoint, and its limit must not lie below the checkpoint position.
     The stored look-ahead must be strictly ascending within
-    (last_p, last_p + last_n], as the stream's binary search relies on it.
+    (last_p, last_p + last_n], as the stream's binary search relies on it,
+    and the counters must be consistent with a run to last_n.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
@@ -520,6 +495,7 @@ def resume(
         raise IncompatibleResumeError(
             f"checkpoint look-ahead is not strictly ascending within ({checkpoint.last_p}, {reach}]"
         )
+    _check_counters(checkpoint)
     counts = {name: checkpoint.violation_counts[name] for name in config.checks}
     firsts = dict(checkpoint.first_violations)
     maximal = list(checkpoint.maximal_records)
@@ -627,6 +603,11 @@ def _row_from_record(rec: GapRecord) -> Table1Row:
     )
 
 
+def round1(value: float) -> str:
+    """One-decimal string, rounding halves away from zero, as the table prints bounds."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
 def reproduce_table1(
     max_prime: int = TABLE1_LIMIT,
     *,
@@ -703,7 +684,7 @@ def table1_mismatches(rows: list[Table1Row], max_prime: int = TABLE1_LIMIT) -> l
                 f"margin={margin})"
             )
             continue
-        rounded = str(Decimal(repr(row.bound)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+        rounded = round1(row.bound)
         if rounded != printed:
             problems.append(f"row n={n}: bound {row.bound!r} rounds to {rounded}, printed {printed}")
         if abs(row.bound - float(printed)) > 0.05:

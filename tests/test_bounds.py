@@ -59,34 +59,37 @@ def test_andrica_values():
 
 
 def test_bertrand_verdict():
-    v = bounds.bertrand_verdict(2, 1)
-    assert v.holds and v.slack == 1.0 and v.at == 2
-    assert not bounds.bertrand_verdict(3, 3).holds  # hypothetical gap == p fails strictness
+    b = bounds.BOUNDS["bertrand"]
+    assert b.decide(2, 1) == (True, False)
+    assert b.at(2) - 1 == 1.0 and b.first_index == 1
+    assert not b.decide(3, 3)[0]  # hypothetical gap == p fails strictness
 
 
 def test_corollary1_verdict_fields():
-    v = bounds.corollary1_verdict(113, 14)
-    assert v.kind is bounds.BoundKind.COROLLARY1
-    assert v.at == 113
-    assert v.holds and not v.marginal
-    assert v.bound_value == pytest.approx(31.15189377244836, rel=1e-12)
-    assert v.observed == 14.0
-    assert v.slack == pytest.approx(v.bound_value - 14.0)
+    b = bounds.BOUNDS["corollary1"]
+    assert b.name == "corollary1" and b in bounds.GAP_BOUNDS
+    assert b.first_index == 3  # p_3 = 5 = min_x
+    assert b.decide(113, 14) == (True, False)
+    assert b.at(113) == pytest.approx(31.15189377244836, rel=1e-12)
+    assert b.at(113) == bounds.corollary1_bound(113) == b.value(113, bounds.MATH)
+    # one expression on every backend: numpy and 50-digit mpmath agree with math
+    assert float(b.value(np.array([113]), bounds.NUMPY)[0]) == pytest.approx(b.at(113), rel=1e-15)
+    assert float(b.value(113, bounds.MPMATH)) == pytest.approx(b.at(113), rel=1e-15)
 
 
 def test_epsilon_verdicts():
-    v = bounds.epsilon_verdict(10, 29, 2, 1, 5, 9)
-    assert v is not None and v.holds
-    assert v.bound_value == pytest.approx(5.8)
-    assert "n > 9" in v.note
+    e5 = bounds.BOUNDS["epsilon_1_5"]
+    assert e5.decide(29, 2) == (True, False)
+    assert e5.at(29) == pytest.approx(5.8)
+    assert "n > 9" in e5.note
     # below the applicability index the bound does not apply at all
-    assert bounds.epsilon_verdict(9, 23, 6, 1, 5, 9) is None
-    v13 = bounds.epsilon_verdict(119, 653, 6, 1, 13, 118)
-    assert v13 is not None and v13.holds
-    assert v13.bound_value == pytest.approx(50.23076923076923, rel=1e-12)
+    assert (e5.min_index, e5.first_index) == (9, 10)
+    e13 = bounds.BOUNDS["epsilon_1_13"]
+    assert e13.first_index == 119 and e13.decide(653, 6)[0]
+    assert e13.at(653) == pytest.approx(50.23076923076923, rel=1e-12)
     # exact integer cross-multiplication: a gap exactly at the bound fails
-    v_tie = bounds.epsilon_verdict(100, 650, 50, 1, 13, 9)
-    assert v_tie is not None and not v_tie.holds  # 50 * 13 == 650 exactly
+    assert e13.decide(650, 50) == (False, False)  # 50 * 13 == 650 exactly
+    assert bounds.BOUNDS["epsilon_1_16597"].first_index == 2010761
 
 
 def test_is_marginal():
@@ -103,24 +106,31 @@ def test_marginal_recheck_dusart_upper():
 
     x, k = 195998, 17680
     assert bounds.is_marginal(k, bounds.dusart_upper(x))
-    verdict = bounds.dusart_upper_verdict(x, k)
-    assert verdict.marginal
-    assert not verdict.holds
+    upper = bounds.BOUNDS["dusart_upper"]
+    holds, marginal = upper.decide(x, k)
+    assert marginal
+    assert not holds
     with mpmath.workdps(80):
         expected = mpmath.mpf(k) <= x / (mpmath.log(x) - mpmath.mpf("1.1"))
-    assert verdict.holds == bool(expected)
+    assert holds == bool(expected)
     # one count lower clears the bound without needing the re-check
-    clear = bounds.dusart_upper_verdict(x, k - 1)
-    assert clear.holds and not clear.marginal
+    assert upper.decide(x, k - 1) == (True, False)
 
 
 def test_marginal_recheck_corollary1():
     """p = 263101 gives a bound of 23118.999994..., marginal against a
     hypothetical gap of 23119, which must not satisfy the strict bound."""
+    import mpmath
+
     p, gap = 263101, 23119
     assert bounds.is_marginal(gap, bounds.corollary1_bound(p))
     holds, marginal = bounds.corollary1_holds(p, gap)
     assert marginal and not holds
+    # the re-decision subtracts decimal 1.1; the binary float 1.1 would move
+    # the bound by about 2e-13
+    with mpmath.workdps(50):
+        decimal = p / (mpmath.log(p) - mpmath.mpf("1.1"))
+        assert abs(bounds.BOUNDS["corollary1"].value(p, bounds.MPMATH) - decimal) < 1e-40
 
 
 def test_marginal_recheck_empirical():
@@ -181,11 +191,11 @@ def test_chain_tail_excess_frozen_value():
 
 
 def test_dusart_verdicts():
-    up = bounds.dusart_upper_verdict(10**6, 78498)
-    low = bounds.dusart_lower_verdict(10**6, 78498)
-    assert up.holds and low.holds
-    assert up.slack == pytest.approx(78644.1091328147 - 78498, rel=1e-9)
-    assert low.slack == pytest.approx(78498 - 78030.44564451973, rel=1e-9)
+    up, low = bounds.BOUNDS["dusart_upper"], bounds.BOUNDS["dusart_lower"]
+    assert up.decide(10**6, 78498)[0] and low.decide(10**6, 78498)[0]
+    assert up.at(10**6) - 78498 == pytest.approx(78644.1091328147 - 78498, rel=1e-9)
+    assert 78498 - low.at(10**6) == pytest.approx(78498 - 78030.44564451973, rel=1e-9)
     # non-strict comparisons: an observation exactly at the bound holds
-    assert bounds.dusart_upper_verdict(10**6, 78644).holds
-    assert not bounds.dusart_upper_verdict(10**6, 78645).holds
+    assert up.decide(10**6, 78644)[0]
+    assert not up.decide(10**6, 78645)[0]
+    assert not low.decide(10**6, 78030)[0]

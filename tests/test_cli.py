@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, main
+from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, FORMATS, main
 from primegaps.verify import (
     CHECKS,
     CheckDef,
@@ -238,6 +239,23 @@ def test_verify_resume_rejects_reordered_lookahead(tmp_path, capsys):
     assert err.startswith("error: checkpoint look-ahead is not strictly ascending")
 
 
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("gap_max", 500), ("violation_counts", {"theorem1": -7}), ("maximal_records", ())],
+)
+def test_verify_resume_rejects_forged_counters(tmp_path, capsys, field, value):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    argv += ["--checks", "theorem1"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    write_checkpoint(path, dataclasses.replace(read_checkpoint(path), **{field: value}))
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR
+    assert not [line for line in out.splitlines() if line.startswith("#")]  # no summary
+    assert err.startswith("error: checkpoint") and err.count("\n") == 1
+
 def test_bounds_cli(capsys):
     code, out, _ = run_cli(capsys, "bounds", "113")
     assert code == EXIT_OK
@@ -252,6 +270,49 @@ def test_bounds_cli(capsys):
     assert by_name["epsilon_1_13"]["holds"] is None
     code, _, err = run_cli(capsys, "bounds", "112")
     assert code == EXIT_ERROR and "not a prime" in err
+
+
+# sha256 of `primegaps bounds P --format F` stdout, frozen from the release
+# before the bound table.  The primes cover every "not applicable" branch,
+# both Dusart thresholds (5393, 60184), epsilon 1/13 off below n = 119 and on
+# above it, and p = 285343, where np.log and math.log differ in the last bit
+# of (p + 1) / log p: printed bound values are evaluated with math.
+BOUNDS_GOLDEN = {
+    (2, "csv"): "e0cc446dd7ddbbe0ac7c25711bb84465898de35b3fe132dd78dbf33812dbfca5",
+    (2, "jsonl"): "326a5b8b7d3b23b5607ec0cc494551f7109c1caa4b46b1211d4eac009086062c",
+    (2, "table"): "ec0cf348ac9c7cc537ecbfc04c409734cf442fc1ccfdd218de825f7d1753e80a",
+    (5, "csv"): "9745d7049104be243de6f6e6220236c87517103d80a783ee81536da6cdeba68e",
+    (5, "jsonl"): "64045a6edee9be1894253f5c9b385902d12d1f1c8e31510b4e690acd0613949b",
+    (5, "table"): "e8adf6a8139789e5ee505541375d8a46f097b31b26f7dcb7ed1ebeedfe3c88a8",
+    (113, "csv"): "994e7be2ff68a94da60c802752d8906bbf11a1c913f9dc0b381c7c6feacd5916",
+    (113, "jsonl"): "3441bbcd6fadac5cbb6d0aae6a5a39d324d0a4a6cecbdbc098999274fdf9cac5",
+    (113, "table"): "aa58fd7960c07fb89b617059173e7f112386caa6d9fe0969b59c02be52a0485d",
+    (5393, "csv"): "45c6a856f2321a47888ba94a04d5a130e29c294e5c0310745bc72c7b5729f243",
+    (5393, "jsonl"): "fa49fe32c7b8fa62cc5dc76dfe97a5f77f3a1059b0d938ce27ad48bed2ed5d13",
+    (5393, "table"): "95b2463f4ac2fdcd9ad5bbd2edc342b582ccac7ad4e3b114630fd2a8ed1acc95",
+    (60217, "csv"): "5a50956411796a43108400c00c50b06a3203dabea65cd6d34f3ed9610696d449",
+    (60217, "jsonl"): "4f3df62b5c0cd4b2b5897106ee35fd7d3ea4f523e69edce327408008c2786ddd",
+    (60217, "table"): "c5bc5f5670e4f113cb95b98f43bb253f5a91e99801b5b746d5035d78328265d9",
+    (285343, "csv"): "c7003c9324125dffda9a53f2ecd5563d29d9baf2dd46056a9b898a3b820252c6",
+    (285343, "jsonl"): "42cc9b73cdb0c6cf2cfe7eda6bbf71b89eb304d0e3f576e8be0db81dd9f0568c",
+    (285343, "table"): "c13224b8cfdc476d03fcfbb3c42df116942480edab767d2689657b12477bb8fd",
+    (2010881, "csv"): "5f9236478e1fa4c1461bd2414b73611d41ec4a08226108cf59cd98cd239e8289",
+    (2010881, "jsonl"): "9a881b6686ce1c52f1553d1cddff1440905381386bcf3452c68ea7db4ac13ab0",
+    (2010881, "table"): "5e38f8880bb267e7338a3acf4b2e7c72d4cbeab6df2d9d6f9fbc67eb927789ef",
+}
+
+
+@pytest.mark.parametrize("p", sorted({p for p, _ in BOUNDS_GOLDEN}))
+def test_bounds_cli_golden(capsys, p):
+    for fmt in FORMATS:
+        code, out, _ = run_cli(capsys, "bounds", str(p), "--format", fmt)
+        assert code == EXIT_OK
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == BOUNDS_GOLDEN[p, fmt], f"bounds {p} --format {fmt} changed:\n{out}"
+    if p == 285343:
+        _, out, _ = run_cli(capsys, "bounds", str(p), "--format", "csv")
+        assert "\nempirical,22715.853870063707,34.0,true,\n" in out
+        assert "\ncorollary1,24895.89612164826,34.0,true,\n" in out
 
 
 def test_table1_cli_subset(capsys):

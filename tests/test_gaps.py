@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from primegaps.gaps import (
     GapBlockStream,
     GapRecord,
-    PrimeIndexPair,
     _StreamSeed,
     gap_stream,
     gap_witness,
     maximal_gaps,
-    theorem1_margin,
 )
 from primegaps.sieve import primes_up_to
 
@@ -112,32 +110,10 @@ def test_lookahead_window_after_emission():
     stream = GapBlockStream(10_000)
     last_block = list(stream.blocks())[-1]
     rec = last_block.record_at(len(last_block) - 1)
-    window = stream.lookahead_window(PrimeIndexPair(n=rec.n, p=rec.p))
+    window = stream.lookahead_window(rec.n, rec.p)
     ps = primes_up_to(rec.p + rec.n)
     assert window.tolist() == ps[ps > rec.p].tolist()
     assert len(window) == rec.theorem1_margin
-
-
-def test_theorem1_margin_examples():
-    assert theorem1_margin(PrimeIndexPair(n=1, p=2), np.array([3, 5])) == 1
-    ps = primes_up_to(200)
-    window = ps[ps > 59]
-    assert theorem1_margin(PrimeIndexPair(n=17, p=59), window) == 4
-    assert theorem1_margin(PrimeIndexPair(n=5, p=11), np.array([13]), covered_through=16) == 1
-
-
-def test_theorem1_margin_coverage_and_order_errors():
-    with pytest.raises(ValueError, match="covers integers up to"):
-        theorem1_margin(PrimeIndexPair(n=5, p=11), np.array([13]))
-    with pytest.raises(ValueError, match="ascending"):
-        theorem1_margin(PrimeIndexPair(n=2, p=3), np.array([7, 5]))
-
-
-def test_prime_index_pair_validation():
-    with pytest.raises(ValueError):
-        PrimeIndexPair(n=0, p=2)
-    with pytest.raises(ValueError):
-        PrimeIndexPair(n=1, p=1)
 
 
 @pytest.mark.parametrize("m", sorted(WITNESS_EXPECTED))

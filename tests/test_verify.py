@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from primegaps import bounds
 from primegaps.gaps import Block, GapRecord
 from primegaps.sieve import primes_up_to
 from primegaps.verify import (
@@ -107,20 +108,25 @@ def test_violations_are_data_not_exceptions(monkeypatch):
     assert len(flagged) == 25
 
 
-def test_vectorized_checks_redecide_near_ties():
+def test_vectorized_checks_redecide_near_ties(monkeypatch):
     # Synthetic rows whose float bound is within the marginal band of the gap:
     # p = 263101 has corollary1 bound 23118.999994... (gap 23119 violates) and
     # p = 60017 has empirical bound 5455.000000164... (gap 5455 is fine).
-    from primegaps.verify import _violations_corollary1, _violations_empirical
-
     def one_row_block(p: int, gap: int) -> Block:
         arr = lambda v: np.array([v], dtype=np.int64)
         return Block(arr(10), arr(p), arr(gap), arr(1), np.array([False]))
 
-    assert _violations_corollary1(one_row_block(263101, 23119)).tolist() == [True]
-    assert _violations_corollary1(one_row_block(263101, 23118)).tolist() == [False]
-    assert _violations_empirical(one_row_block(60017, 5455)).tolist() == [False]
-    assert _violations_empirical(one_row_block(60017, 5456)).tolist() == [True]
+    corollary1, empirical = CHECKS["corollary1"].violations, CHECKS["empirical"].violations
+    assert corollary1(one_row_block(263101, 23119)).tolist() == [True]
+    assert corollary1(one_row_block(263101, 23118)).tolist() == [False]
+    assert empirical(one_row_block(60017, 5455)).tolist() == [False]
+    assert empirical(one_row_block(60017, 5456)).tolist() == [True]
+    # near ties are re-decided through the module attribute, which wrappers replace
+    seen = []
+    scalar = bounds.corollary1_holds
+    monkeypatch.setattr(bounds, "corollary1_holds", lambda p, g: seen.append(p) or scalar(p, g))
+    assert corollary1(one_row_block(263101, 23119)).tolist() == [True]
+    assert seen == [263101]
 
 
 def test_summary_canonical_lines_deterministic():
@@ -278,6 +284,7 @@ def test_resume_to_larger_limit(tmp_path):
 
 
 def test_resume_validation(tmp_path):
+    # The state a theorem1 run to 1000 checkpoints at n = 25 (p_25 = 97).
     ck = Checkpoint(
         version=CHECKPOINT_VERSION,
         limit=1000,
@@ -287,8 +294,17 @@ def test_resume_validation(tmp_path):
         lookahead=np.array([101, 103, 107, 109, 113], dtype=np.int64),
         violation_counts={"theorem1": 0},
         first_violations={},
-        maximal_records=(),
+        maximal_records=(
+            GapRecord(1, 2, 1, True, 1),
+            GapRecord(2, 3, 2, True, 1),
+            GapRecord(4, 7, 4, True, 1),
+            GapRecord(9, 23, 6, True, 2),
+            GapRecord(24, 89, 8, True, 6),
+        ),
     )
+    fresh = run_verification(RunConfig(limit=1000, checks=("theorem1",)))
+    resumed = resume(ck, RunConfig(limit=1000, checks=("theorem1",)))
+    assert resumed.canonical_lines() == fresh.canonical_lines()
     with pytest.raises(IncompatibleResumeError, match="below the checkpoint"):
         resume(ck, RunConfig(limit=50, checks=("theorem1",)))
     with pytest.raises(IncompatibleResumeError, match="do not match"):
@@ -308,6 +324,36 @@ def test_resume_validation(tmp_path):
         disordered = dataclasses.replace(ck, lookahead=np.array(bad, dtype=np.int64))
         with pytest.raises(IncompatibleResumeError, match="strictly ascending within"):
             resume(disordered, RunConfig(limit=1000, checks=("theorem1",)))
+    # Counters that pass the hash but cannot come from a run to last_n = 25.
+    m = ck.maximal_records
+    late = GapRecord(30, 113, 14, True, 4)
+    for forged, match in (
+        (dict(gap_max=500), "gap_max"),
+        (dict(gap_max=6), "gap_max"),
+        (dict(maximal_records=m[:-1]), "gap_max"),
+        (dict(maximal_records=(), gap_max=0), "maximal records"),
+        (dict(maximal_records=(m[1], m[0]) + m[2:]), "maximal records"),
+        (dict(maximal_records=m[:2] + (GapRecord(4, 7, 2, True, 1),) + m[3:]), "maximal records"),
+        (dict(maximal_records=m + (late,), gap_max=14), "maximal records"),
+        (dict(violation_counts={"theorem1": -7}), "count"),
+        (dict(violation_counts={"theorem1": 26}), "count"),
+        (dict(violation_counts={"theorem1": 1}), "first violation"),
+        (dict(first_violations={"theorem1": GapRecord(5, 11, 2, False, 2)}), "first violation"),
+        (
+            dict(violation_counts={"theorem1": 1}, first_violations={"theorem1": late}),
+            "first violation",
+        ),
+    ):
+        with pytest.raises(IncompatibleResumeError, match=match):
+            resume(dataclasses.replace(ck, **forged), RunConfig(limit=1000, checks=("theorem1",)))
+    # epsilon_1_13 applies from n = 119 on, so by n = 25 it has no index to violate
+    eps = dataclasses.replace(
+        ck,
+        violation_counts={"theorem1": 0, "epsilon_1_13": 1},
+        first_violations={"epsilon_1_13": GapRecord(20, 71, 2, False, 4)},
+    )
+    with pytest.raises(IncompatibleResumeError, match="count"):
+        resume(eps, RunConfig(limit=1000, checks=("theorem1", "epsilon_1_13")))
 
 
 def test_reproduce_table1_subset():
