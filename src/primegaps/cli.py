@@ -27,6 +27,7 @@ from .verify import (
     CheckpointError,
     RunConfig,
     VerificationSummary,
+    check_resume,
     read_checkpoint,
     reproduce_table1,
     resume,
@@ -142,10 +143,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_interval=args.interval,
         emit=args.emit,
     )
+    if args.resume:
+        checkpoint = read_checkpoint(args.checkpoint)
+        check_resume(checkpoint, config)  # a rejected resume writes nothing to stdout
     writer = RecordWriter(args.format, sys.stdout)
     writer.begin()
     if args.resume:
-        summary = resume(read_checkpoint(args.checkpoint), config, sink=writer.write)
+        summary = resume(checkpoint, config, sink=writer.write)
     else:
         summary = run_verification(config, sink=writer.write)
     _write_summary(summary, args.format, sys.stdout)

@@ -57,13 +57,12 @@ class GapWitness:
 
 @dataclass(frozen=True, slots=True)
 class _StreamSeed:
-    """Internal resume state: the look-ahead buffer and counters carried
-    across a checkpoint boundary."""
+    """Where a stream starts: index next_n, whose predecessor is last_p =
+    p_(next_n - 1), and the largest gap so far.  The default starts at n = 1."""
 
-    next_n: int
-    lookahead: np.ndarray  # ascending primes, all > last emitted prime
-    covered_through: int  # every integer <= this has been sieved
-    gap_max: int
+    next_n: int = 1
+    last_p: int = 1
+    gap_max: int = 0
 
 
 class Block:
@@ -134,7 +133,7 @@ class GapBlockStream:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         cut_every: int | None = None,
         threads: int | None = None,
-        seed: _StreamSeed | None = None,
+        seed: _StreamSeed = _StreamSeed(),
     ) -> None:
         if limit < 3:
             raise ValueError(f"limit must be >= 3 (need a prime and its successor), got {limit}")
@@ -149,18 +148,11 @@ class GapBlockStream:
         # index _first_n + i.  Positions before head are emitted; [head, tail)
         # is the live look-ahead.  Segments are appended in place, and the live part
         # moves only when a segment does not fit (see _extend).
-        if seed is None:
-            self._store = np.empty(0, dtype=np.int64)
-            self._first_n = 1
-            self._sieved_hi = 2  # everything below this has been sieved
-            self._gap_max = 0
-        else:
-            self._store = np.array(seed.lookahead, dtype=np.int64)
-            self._first_n = seed.next_n
-            self._sieved_hi = seed.covered_through + 1
-            self._gap_max = seed.gap_max
-        self._head = 0
-        self._tail = len(self._store)
+        self._store = np.empty(0, dtype=np.int64)
+        self._head = self._tail = 0
+        self._first_n = seed.next_n
+        self._sieved_hi = seed.last_p + 1  # everything below this has been sieved
+        self._gap_max = seed.gap_max
         self._feed = SegmentFeed(
             start=self._sieved_hi, segment_size=segment_size, threads=threads
         )
@@ -169,13 +161,6 @@ class GapBlockStream:
     def gap_max(self) -> int:
         """Largest gap seen among emitted indices (plus any seeded history)."""
         return self._gap_max
-
-    def lookahead_window(self, n: int, p: int) -> np.ndarray:
-        """Primes in (p, p + n] for p = p_n; valid once index n is emitted."""
-        primes = self._store[: self._tail]
-        lo = np.searchsorted(primes, p, side="right")
-        hi = np.searchsorted(primes, p + n, side="right")
-        return primes[lo:hi].copy()
 
     def _extend(self) -> None:
         """Sieve one more segment and append its primes to the store.

@@ -147,6 +147,39 @@ def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     return sum(map(len, _windows_up_to(limit, segment_size)))
 
 
+def prime_pi(x: int) -> int:
+    """pi(x) by Lucy_Hedgehog's method in O(x^(3/4)) time and O(sqrt(x)) memory.
+
+    S(v) counts the integers in [2, v] not yet struck; it starts at v - 1
+    and is needed only at the values v = x // i.  Striking the multiples of
+    each prime p <= sqrt(x) lowers S(v), for every v >= p*p, by
+    S(v // p) - S(p - 1), the survivors in [p, v // p].  Afterwards
+    S(x) = pi(x).  ``small[v]`` holds S(v) for v <= r = isqrt(x) and
+    ``large[i]`` holds S(x // i).  Independent of the segmented sieve.
+    """
+    if x < 2:
+        return 0
+    if x > MAX_LIMIT:
+        raise OverflowError(f"limit {x} exceeds supported maximum {MAX_LIMIT}")
+    r = math.isqrt(x)
+    small = np.arange(-1, r, dtype=np.int64)
+    large = np.empty(r + 1, dtype=np.int64)
+    large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:
+            continue  # p was struck: composite
+        below, pp = int(small[p - 1]), p * p
+        # large[i] for i <= x // p^2, i.e. x // i >= p^2.  For i*p <= r the
+        # value S(x // (i*p)) sits in large, beyond that in small.
+        m = min(r, x // pp)
+        k = min(m, r // p)
+        large[1 : k + 1] -= large[p : k * p + 1 : p] - below
+        large[k + 1 : m + 1] -= small[x // (np.arange(k + 1, m + 1, dtype=np.int64) * p)] - below
+        if pp <= r:
+            small[pp:] -= small[np.arange(pp, r + 1, dtype=np.int64) // p] - below
+    return int(large[1])
+
+
 def is_prime_oracle(num: int) -> bool:
     """Trial-division primality test: divisors searched in [2, isqrt(num)].
 

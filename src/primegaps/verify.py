@@ -24,9 +24,9 @@ import numpy as np
 
 from . import bounds
 from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
-from .sieve import DEFAULT_SEGMENT_SIZE
+from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, prime_pi
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_INTERVAL = 1_000_000
 
 RecordSink = Callable[[GapRecord], None]
@@ -187,15 +187,14 @@ class IncompatibleResumeError(CheckpointError):
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Resumable position: counters plus the look-ahead primes in
-    (last_p, last_p + last_n], which re-seed the stream buffer."""
+    """Resumable position last_p = p_(last_n) and the counters up to it; a
+    resumed stream re-sieves its look-ahead (last_p, last_p + last_n]."""
 
     version: int
     limit: int
     last_n: int
     last_p: int
     gap_max: int
-    lookahead: np.ndarray
     violation_counts: dict[str, int]
     first_violations: dict[str, GapRecord]
     maximal_records: tuple[GapRecord, ...]
@@ -224,7 +223,6 @@ def write_checkpoint(path: str | Path, ck: Checkpoint) -> None:
         f"last_n = {ck.last_n}",
         f"last_p = {ck.last_p}",
         f"gap_max = {ck.gap_max}",
-        f"lookahead_primes = {','.join(map(str, np.asarray(ck.lookahead).tolist()))}",
         f"violation_counts = {counts or '-'}",
         f"first_violations = {firsts or '-'}",
         f"maximal_records = {maximal or '-'}",
@@ -271,17 +269,12 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         last_n = int(fields["last_n"])
         last_p = int(fields["last_p"])
         gap_max = int(fields["gap_max"])
-        raw_look = fields["lookahead_primes"]
         raw_counts = fields["violation_counts"]
         raw_firsts = fields["first_violations"]
         raw_maximal = fields["maximal_records"]
     except KeyError as exc:
         raise CheckpointFormatError(f"{path}: missing key {exc}") from exc
     try:
-        lookahead = (
-            np.array(raw_look.split(","), dtype=np.int64) if raw_look and raw_look != "-"
-            else np.empty(0, dtype=np.int64)
-        )
         counts = {}
         if raw_counts != "-":
             for item in raw_counts.split(","):
@@ -305,7 +298,6 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         last_n=last_n,
         last_p=last_p,
         gap_max=gap_max,
-        lookahead=lookahead,
         violation_counts=counts,
         first_violations=firsts,
         maximal_records=maximal,
@@ -319,14 +311,16 @@ def _execute(
     config: RunConfig,
     sink: RecordSink | None,
     block_hook: BlockHook | None,
-    counts: dict[str, int],
-    firsts: dict[str, GapRecord],
-    maximal: list[GapRecord],
-    seed: _StreamSeed | None,
-    start_n: int,
-    start_p: int,
+    start: Checkpoint | None,
 ) -> VerificationSummary:
+    """Run from `start`, a checkpoint that passed check_resume, or from n = 1."""
     t0 = time.perf_counter()
+    if start is None:
+        seed, counts, firsts, maximal = _StreamSeed(), dict.fromkeys(config.checks, 0), {}, []
+    else:
+        seed = _StreamSeed(next_n=start.last_n + 1, last_p=start.last_p, gap_max=start.gap_max)
+        counts = {name: start.violation_counts[name] for name in config.checks}
+        firsts, maximal = dict(start.first_violations), list(start.maximal_records)
     cut = config.checkpoint_interval if config.checkpoint_path else None
     stream = GapBlockStream(
         config.limit,
@@ -336,7 +330,7 @@ def _execute(
         seed=seed,
     )
     defs = [CHECKS[name] for name in config.checks]
-    last_n, last_p = start_n, start_p
+    last_n, last_p = seed.next_n - 1, seed.last_p
     for block in stream.blocks():
         violated = None
         for cd in defs:
@@ -364,7 +358,6 @@ def _execute(
                     sink(block.record_at(int(i)))
         last_n, last_p = block.last_n, block.last_p
         if config.checkpoint_path and last_n % config.checkpoint_interval == 0:
-            lookahead = stream.lookahead_window(last_n, last_p)
             write_checkpoint(
                 config.checkpoint_path,
                 Checkpoint(
@@ -373,7 +366,6 @@ def _execute(
                     last_n=last_n,
                     last_p=last_p,
                     gap_max=stream.gap_max,
-                    lookahead=lookahead,
                     violation_counts=dict(counts),
                     first_violations=dict(firsts),
                     maximal_records=tuple(maximal),
@@ -410,8 +402,7 @@ def run_verification(
     never raised.  With a checkpoint path configured, state is persisted each
     time the index crosses a multiple of the checkpoint interval.
     """
-    counts = {name: 0 for name in config.checks}
-    return _execute(config, sink, block_hook, counts, {}, [], None, 0, 0)
+    return _execute(config, sink, block_hook, None)
 
 
 def _check_counters(ck: Checkpoint) -> None:
@@ -455,19 +446,13 @@ def _check_counters(ck: Checkpoint) -> None:
             )
 
 
-def resume(
-    checkpoint: Checkpoint,
-    config: RunConfig,
-    sink: RecordSink | None = None,
-    block_hook: BlockHook | None = None,
-) -> VerificationSummary:
-    """Continue a checkpointed run under `config`, as if never interrupted.
+def check_resume(checkpoint: Checkpoint, config: RunConfig) -> None:
+    """Raise CheckpointError unless `checkpoint` can seed a run under `config`.
 
     The configuration must select exactly the checks stored in the
     checkpoint, and its limit must not lie below the checkpoint position.
-    The stored look-ahead must be strictly ascending within
-    (last_p, last_p + last_n], as the stream's binary search relies on it,
-    and the counters must be consistent with a run to last_n.
+    The counters must be consistent with a run to last_n, and last_p must be
+    p_(last_n): the resumed stream numbers the primes after it from last_n + 1.
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
@@ -483,32 +468,24 @@ def resume(
             f"{sorted(config.checks)} do not match checkpointed checks "
             f"{sorted(checkpoint.violation_counts)}"
         )
-    lookahead = np.asarray(checkpoint.lookahead, dtype=np.int64)
-    if len(lookahead) == 0:
-        raise IncompatibleResumeError("checkpoint look-ahead buffer is empty")
-    reach = checkpoint.last_p + checkpoint.last_n
-    if (
-        lookahead[0] <= checkpoint.last_p
-        or lookahead[-1] > reach
-        or np.any(lookahead[1:] <= lookahead[:-1])
-    ):
-        raise IncompatibleResumeError(
-            f"checkpoint look-ahead is not strictly ascending within ({checkpoint.last_p}, {reach}]"
-        )
     _check_counters(checkpoint)
-    counts = {name: checkpoint.violation_counts[name] for name in config.checks}
-    firsts = dict(checkpoint.first_violations)
-    maximal = list(checkpoint.maximal_records)
-    seed = _StreamSeed(
-        next_n=checkpoint.last_n + 1,
-        lookahead=lookahead,
-        covered_through=reach,
-        gap_max=checkpoint.gap_max,
-    )
-    return _execute(
-        config, sink, block_hook, counts, firsts, maximal, seed,
-        checkpoint.last_n, checkpoint.last_p,
-    )
+    p, n = checkpoint.last_p, checkpoint.last_n
+    if p < 2 or not is_prime_oracle(p) or prime_pi(p) != n:
+        raise IncompatibleResumeError(f"checkpoint last_p = {p} is not p_{n}, the last_n-th prime")
+
+
+def resume(
+    checkpoint: Checkpoint,
+    config: RunConfig,
+    sink: RecordSink | None = None,
+    block_hook: BlockHook | None = None,
+) -> VerificationSummary:
+    """Continue a checkpointed run under `config`, as if never interrupted.
+
+    The checkpoint must pass `check_resume`.
+    """
+    check_resume(checkpoint, config)
+    return _execute(config, sink, block_hook, checkpoint)
 
 
 # --------------------------------------------------------------------------

@@ -106,16 +106,6 @@ def test_blocks_partition_indices_and_respect_cuts():
     assert expected_next - 1 == len(primes_up_to(50_000))
 
 
-def test_lookahead_window_after_emission():
-    stream = GapBlockStream(10_000)
-    last_block = list(stream.blocks())[-1]
-    rec = last_block.record_at(len(last_block) - 1)
-    window = stream.lookahead_window(rec.n, rec.p)
-    ps = primes_up_to(rec.p + rec.n)
-    assert window.tolist() == ps[ps > rec.p].tolist()
-    assert len(window) == rec.theorem1_margin
-
-
 @pytest.mark.parametrize("m", sorted(WITNESS_EXPECTED))
 def test_gap_witness_values(m):
     w = gap_witness(m)
@@ -162,14 +152,10 @@ def test_blocks_stay_valid_after_the_stream_moves_on(seeded_at):
     limit = 60_000
     ref = primes_up_to(limit + 10_000)
     if seeded_at is None:
-        seed, first = None, 0
+        seed, first = _StreamSeed(), 0
     else:
-        p = int(ref[seeded_at - 1])
-        window = ref[(ref > p) & (ref <= p + seeded_at)]
         gap_max = int(np.diff(ref[: seeded_at + 1]).max())
-        seed = _StreamSeed(
-            next_n=seeded_at + 1, lookahead=window, covered_through=p + seeded_at, gap_max=gap_max
-        )
+        seed = _StreamSeed(next_n=seeded_at + 1, last_p=int(ref[seeded_at - 1]), gap_max=gap_max)
         first = seeded_at
     blocks = list(GapBlockStream(limit, segment_size=1 << 10, seed=seed).blocks())
     ps = np.concatenate([b.ps for b in blocks])

@@ -12,6 +12,7 @@ from primegaps.sieve import (
     is_prime_oracle,
     next_prime,
     prime_count,
+    prime_pi,
     primes_up_to,
     sieve_segment,
     sieve_threads,
@@ -94,6 +95,32 @@ def test_prime_count():
     assert prime_count(113) == 30
     assert prime_count(5393) == 711
     assert prime_count(1_000_000) == 78498
+
+
+def test_prime_pi_matches_prime_count_below_2000():
+    assert [prime_pi(x) for x in range(2001)] == [prime_count(x) for x in range(2001)]
+
+
+def test_prime_pi_matches_sieve_counts():
+    # Around each square p^2 (p < 3000) the strike of p starts, and at 50
+    # seeded points up to 1e7; the reference counts come from the segmented
+    # sieve, which shares no code with prime_pi.
+    ref = primes_up_to(10**7)
+    base = ref[ref < 3000].tolist()
+    rng = np.random.default_rng(20)
+    xs = [p * p + d for p in base for d in (-1, 0, 1)]
+    xs += rng.integers(0, 10**7, size=50, endpoint=True).tolist()
+    assert [prime_pi(x) for x in xs] == np.searchsorted(ref, xs, side="right").tolist()
+    assert prime_pi(8_999_999) == prime_count(8_999_999)
+
+
+def test_prime_pi_anchors_and_domain():
+    assert prime_pi(436_273_009) == 23_163_298  # the last reference-table row
+    assert prime_pi(10**9) == 50_847_534
+    assert prime_pi(-7) == prime_count(-7) == 0
+    for count in (prime_pi, prime_count):
+        with pytest.raises(OverflowError):
+            count(MAX_LIMIT + 1)
 
 
 def test_is_prime_oracle_basics():

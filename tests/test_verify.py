@@ -145,7 +145,6 @@ def test_checkpoint_roundtrip(tmp_path):
         last_n=25,
         last_p=97,
         gap_max=8,
-        lookahead=np.array([101, 103, 107, 109, 113], dtype=np.int64),
         violation_counts={"theorem1": 0, "bertrand": 2},
         first_violations={"bertrand": GapRecord(5, 11, 2, False, 2)},
         maximal_records=(GapRecord(1, 2, 1, True, 1), GapRecord(2, 3, 2, True, 1)),
@@ -159,7 +158,6 @@ def test_checkpoint_roundtrip(tmp_path):
         97,
         8,
     )
-    assert got.lookahead.tolist() == [101, 103, 107, 109, 113]
     assert got.violation_counts == {"theorem1": 0, "bertrand": 2}
     assert got.first_violations == {"bertrand": GapRecord(5, 11, 2, False, 2)}
     assert got.maximal_records == ck.maximal_records
@@ -175,7 +173,6 @@ def test_checkpoint_tamper_detection(tmp_path):
             last_n=25,
             last_p=97,
             gap_max=8,
-            lookahead=np.array([101], dtype=np.int64),
             violation_counts={"theorem1": 0},
             first_violations={},
             maximal_records=(),
@@ -204,7 +201,6 @@ def test_checkpoint_version_gate(tmp_path):
             last_n=25,
             last_p=97,
             gap_max=8,
-            lookahead=np.array([101], dtype=np.int64),
             violation_counts={"theorem1": 0},
             first_violations={},
             maximal_records=(),
@@ -226,7 +222,7 @@ def test_checkpoint_written_at_interval_boundary(tmp_path):
     ck = read_checkpoint(path)
     # pi(150) = 35, so the only boundary crossed is n = 25 (p_25 = 97)
     assert (ck.last_n, ck.last_p, ck.gap_max) == (25, 97, 8)
-    assert ck.lookahead.tolist() == [101, 103, 107, 109, 113]  # primes in (97, 122]
+    assert "lookahead" not in path.read_text()  # the look-ahead is re-sieved on resume
     assert ck.violation_counts == {"theorem1": 0, "bertrand": 0}
     assert [r.p for r in ck.maximal_records] == [2, 3, 7, 23, 89]
 
@@ -291,7 +287,6 @@ def test_resume_validation(tmp_path):
         last_n=25,
         last_p=97,
         gap_max=8,
-        lookahead=np.array([101, 103, 107, 109, 113], dtype=np.int64),
         violation_counts={"theorem1": 0},
         first_violations={},
         maximal_records=(
@@ -309,21 +304,18 @@ def test_resume_validation(tmp_path):
         resume(ck, RunConfig(limit=50, checks=("theorem1",)))
     with pytest.raises(IncompatibleResumeError, match="do not match"):
         resume(ck, RunConfig(limit=1000, checks=("theorem1", "bertrand")))
-    empty = dataclasses.replace(ck, lookahead=np.empty(0, dtype=np.int64))
-    with pytest.raises(IncompatibleResumeError, match="look-ahead"):
-        resume(empty, RunConfig(limit=1000, checks=("theorem1",)))
     stale = dataclasses.replace(ck, version=CHECKPOINT_VERSION + 1)
     with pytest.raises(CheckpointVersionError):
         resume(stale, RunConfig(limit=1000, checks=("theorem1",)))
-    for bad in (
-        [113, 109, 107, 103, 101],  # reversed
-        [101, 103, 103, 107, 109, 113],  # repeated
-        [97, 101, 103, 107, 109, 113],  # reaches back to last_p
-        [101, 103, 107, 109, 113, 127],  # beyond last_p + last_n = 122
+    # A position the stream would silently misnumber: last_p must be p_(last_n).
+    for forged, match in (
+        (dict(last_p=96), "last_p = 96 is not p_25"),  # composite
+        (dict(last_p=101), "last_p = 101 is not p_25"),  # p_26
+        (dict(last_n=24), "last_p = 97 is not p_24"),
+        (dict(last_n=26), "last_p = 97 is not p_26"),
     ):
-        disordered = dataclasses.replace(ck, lookahead=np.array(bad, dtype=np.int64))
-        with pytest.raises(IncompatibleResumeError, match="strictly ascending within"):
-            resume(disordered, RunConfig(limit=1000, checks=("theorem1",)))
+        with pytest.raises(IncompatibleResumeError, match=match):
+            resume(dataclasses.replace(ck, **forged), RunConfig(limit=1000, checks=("theorem1",)))
     # Counters that pass the hash but cannot come from a run to last_n = 25.
     m = ck.maximal_records
     late = GapRecord(30, 113, 14, True, 4)
