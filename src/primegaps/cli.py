@@ -24,16 +24,17 @@ from .verify import (
     DEFAULT_CHECKS,
     EMIT_MODES,
     TABLE1_LIMIT,
+    Checkpoint,
     CheckpointError,
     RunConfig,
     VerificationSummary,
     check_resume,
     read_checkpoint,
-    reproduce_table1,
-    resume,
     round1,
     run_verification,
+    table1_config,
     table1_mismatches,
+    table1_rows,
 )
 
 EXIT_OK = 0
@@ -131,10 +132,16 @@ def cmd_gaps(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _resume_start(args: argparse.Namespace, config: RunConfig) -> Checkpoint | None:
+    """The checked checkpoint a --resume run starts from (None for a fresh run)."""
+    if not args.resume:
+        return None
+    checkpoint = read_checkpoint(args.checkpoint)
+    check_resume(checkpoint, config)
+    return checkpoint
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return EXIT_USAGE
     config = RunConfig(
         limit=args.limit,
         checks=_parse_checks(args.checks),
@@ -143,15 +150,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         checkpoint_interval=args.interval,
         emit=args.emit,
     )
-    if args.resume:
-        checkpoint = read_checkpoint(args.checkpoint)
-        check_resume(checkpoint, config)  # a rejected resume writes nothing to stdout
+    start = _resume_start(args, config)  # a rejected resume writes nothing to stdout
     writer = RecordWriter(args.format, sys.stdout)
     writer.begin()
-    if args.resume:
-        summary = resume(checkpoint, config, sink=writer.write)
-    else:
-        summary = run_verification(config, sink=writer.write)
+    summary = run_verification(config, sink=writer.write, start=start)
     _write_summary(summary, args.format, sys.stdout)
     print(f"# wall_time_s = {summary.wall_time_s:.3f}", file=sys.stderr)
     return EXIT_OK if summary.clean else EXIT_FINDING
@@ -214,16 +216,13 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return EXIT_USAGE
-    rows = reproduce_table1(
+    config = table1_config(
         args.max_prime,
         segment_size=args.segment_size,
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.interval,
-        resume_from_checkpoint=args.resume,
     )
+    rows = table1_rows(run_verification(config, start=_resume_start(args, config)))
     out = sys.stdout
     if args.format == "csv":
         out.write("n,p,gap,starred,margin,bound\n")
@@ -301,6 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
             help="sieve window length (default %(default)s)",
         )
 
+    def add_checkpoint(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--checkpoint", help="checkpoint file to write (and resume from)")
+        p.add_argument(
+            "--interval",
+            type=int,
+            default=DEFAULT_CHECKPOINT_INTERVAL,
+            help="checkpoint every this many prime indices (default %(default)s)",
+        )
+        p.add_argument("--resume", action="store_true", help="continue from --checkpoint")
+
     p_gaps = sub.add_parser("gaps", help="emit per-prime gap records up to a limit")
     p_gaps.add_argument("--limit", type=int, required=True, help="largest prime to include")
     p_gaps.add_argument(
@@ -317,14 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(DEFAULT_CHECKS),
         help=f"comma-separated subset of: {', '.join(sorted(CHECKS))} (default %(default)s)",
     )
-    p_verify.add_argument("--checkpoint", help="checkpoint file to write (and resume from)")
-    p_verify.add_argument(
-        "--interval",
-        type=int,
-        default=DEFAULT_CHECKPOINT_INTERVAL,
-        help="checkpoint every this many prime indices (default %(default)s)",
-    )
-    p_verify.add_argument("--resume", action="store_true", help="continue from --checkpoint")
+    add_checkpoint(p_verify)
     p_verify.add_argument(
         "--emit",
         choices=EMIT_MODES,
@@ -354,12 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=TABLE1_LIMIT,
         help="cap on included primes (default %(default)s)",
     )
-    p_table1.add_argument("--checkpoint", help="checkpoint file to write (and resume from)")
-    p_table1.add_argument(
-        "--interval", type=int, default=DEFAULT_CHECKPOINT_INTERVAL,
-        help="checkpoint every this many prime indices (default %(default)s)",
-    )
-    p_table1.add_argument("--resume", action="store_true", help="continue from --checkpoint")
+    add_checkpoint(p_table1)
     add_format(p_table1)
     add_segment_size(p_table1)
     p_table1.set_defaults(func=cmd_table1)
@@ -375,6 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.checkpoint:
+        print("error: --resume requires --checkpoint", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (CheckpointError, ValueError, OverflowError, OSError) as exc:

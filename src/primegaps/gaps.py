@@ -65,24 +65,15 @@ class _StreamSeed:
     gap_max: int = 0
 
 
+@dataclass(eq=False, slots=True)
 class Block:
     """A contiguous run of emitted indices with parallel int64 arrays."""
 
-    __slots__ = ("ns", "ps", "gaps", "margins", "is_maximal")
-
-    def __init__(
-        self,
-        ns: np.ndarray,
-        ps: np.ndarray,
-        gaps: np.ndarray,
-        margins: np.ndarray,
-        is_maximal: np.ndarray,
-    ) -> None:
-        self.ns = ns
-        self.ps = ps
-        self.gaps = gaps
-        self.margins = margins
-        self.is_maximal = is_maximal
+    ns: np.ndarray
+    ps: np.ndarray
+    gaps: np.ndarray
+    margins: np.ndarray
+    is_maximal: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ns)
@@ -132,7 +123,6 @@ class GapBlockStream:
         limit: int,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         cut_every: int | None = None,
-        threads: int | None = None,
         seed: _StreamSeed = _StreamSeed(),
     ) -> None:
         if limit < 3:
@@ -153,9 +143,7 @@ class GapBlockStream:
         self._first_n = seed.next_n
         self._sieved_hi = seed.last_p + 1  # everything below this has been sieved
         self._gap_max = seed.gap_max
-        self._feed = SegmentFeed(
-            start=self._sieved_hi, segment_size=segment_size, threads=threads
-        )
+        self._feed = SegmentFeed(start=self._sieved_hi, segment_size=segment_size)
 
     @property
     def gap_max(self) -> int:
@@ -258,25 +246,17 @@ class GapBlockStream:
             self._feed.close()
 
 
-def gap_stream(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int | None = None,
-) -> Iterator[GapRecord]:
+def gap_stream(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[GapRecord]:
     """Yield one GapRecord per prime p_n <= limit, in ascending index order."""
-    stream = GapBlockStream(limit, segment_size=segment_size, threads=threads)
+    stream = GapBlockStream(limit, segment_size=segment_size)
     for block in stream.blocks():
         yield from block.iter_records()
 
 
-def maximal_gaps(
-    limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int | None = None,
-) -> list[GapRecord]:
+def maximal_gaps(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[GapRecord]:
     """Record gaps up to `limit`: every prime whose gap exceeds all earlier gaps."""
     out: list[GapRecord] = []
-    stream = GapBlockStream(limit, segment_size=segment_size, threads=threads)
+    stream = GapBlockStream(limit, segment_size=segment_size)
     for block in stream.blocks():
         for i in np.flatnonzero(block.is_maximal):
             out.append(block.record_at(int(i)))

@@ -24,13 +24,12 @@ import numpy as np
 
 from . import bounds
 from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
-from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, prime_pi
+from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_pi
 
 CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_INTERVAL = 1_000_000
 
 RecordSink = Callable[[GapRecord], None]
-BlockHook = Callable[[Block], None]
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +92,6 @@ class RunConfig:
     checkpoint_path: str | None = None
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     emit: str = "maximal"
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if self.limit < 3:
@@ -307,13 +305,19 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 # --------------------------------------------------------------------------
 # the run engine
 
-def _execute(
+def run_verification(
     config: RunConfig,
-    sink: RecordSink | None,
-    block_hook: BlockHook | None,
-    start: Checkpoint | None,
+    sink: RecordSink | None = None,
+    start: Checkpoint | None = None,
 ) -> VerificationSummary:
-    """Run from `start`, a checkpoint that passed check_resume, or from n = 1."""
+    """Run the configured checks over every prime p_n <= config.limit.
+
+    The run starts at n = 1, or after `start`, a checkpoint that passed
+    `check_resume`.  Violations are counted (and streamed to `sink` under
+    emit="violations"), never raised.  With a checkpoint path configured,
+    state is persisted each time the index crosses a multiple of the
+    checkpoint interval.
+    """
     t0 = time.perf_counter()
     if start is None:
         seed, counts, firsts, maximal = _StreamSeed(), dict.fromkeys(config.checks, 0), {}, []
@@ -322,17 +326,11 @@ def _execute(
         counts = {name: start.violation_counts[name] for name in config.checks}
         firsts, maximal = dict(start.first_violations), list(start.maximal_records)
     cut = config.checkpoint_interval if config.checkpoint_path else None
-    stream = GapBlockStream(
-        config.limit,
-        segment_size=config.segment_size,
-        cut_every=cut,
-        threads=config.threads,
-        seed=seed,
-    )
+    stream = GapBlockStream(config.limit, config.segment_size, cut_every=cut, seed=seed)
     defs = [CHECKS[name] for name in config.checks]
     last_n, last_p = seed.next_n - 1, seed.last_p
     for block in stream.blocks():
-        violated = None
+        violated = np.zeros(len(block), dtype=bool)
         for cd in defs:
             hits = cd.violations(block)
             k = int(np.count_nonzero(hits))
@@ -340,21 +338,16 @@ def _execute(
                 counts[cd.name] += k
                 if cd.name not in firsts:
                     firsts[cd.name] = block.record_at(int(np.flatnonzero(hits)[0]))
-                if config.emit == "violations":
-                    violated = hits.copy() if violated is None else (violated | hits)
+                violated |= hits
         for i in np.flatnonzero(block.is_maximal):
             maximal.append(block.record_at(int(i)))
-        if block_hook is not None:
-            block_hook(block)
         if sink is not None:
             if config.emit == "all":
                 for rec in block.iter_records():
                     sink(rec)
-            elif config.emit == "maximal":
-                for i in np.flatnonzero(block.is_maximal):
-                    sink(block.record_at(int(i)))
-            elif violated is not None:
-                for i in np.flatnonzero(violated):
+            else:
+                emitted = block.is_maximal if config.emit == "maximal" else violated
+                for i in np.flatnonzero(emitted):
                     sink(block.record_at(int(i)))
         last_n, last_p = block.last_n, block.last_p
         if config.checkpoint_path and last_n % config.checkpoint_interval == 0:
@@ -372,12 +365,7 @@ def _execute(
                 ),
             )
     stats = tuple(
-        CheckStats(
-            name=cd.name,
-            applied=cd.applied_count(last_n),
-            violations=counts[cd.name],
-            first_violation=firsts.get(cd.name),
-        )
+        CheckStats(cd.name, cd.applied_count(last_n), counts[cd.name], firsts.get(cd.name))
         for cd in defs
     )
     return VerificationSummary(
@@ -389,20 +377,6 @@ def _execute(
         maximal_records=tuple(maximal),
         wall_time_s=time.perf_counter() - t0,
     )
-
-
-def run_verification(
-    config: RunConfig,
-    sink: RecordSink | None = None,
-    block_hook: BlockHook | None = None,
-) -> VerificationSummary:
-    """Run the configured checks over every prime p_n <= config.limit.
-
-    Violations are counted (and streamed to `sink` under emit="violations"),
-    never raised.  With a checkpoint path configured, state is persisted each
-    time the index crosses a multiple of the checkpoint interval.
-    """
-    return _execute(config, sink, block_hook, None)
 
 
 def _check_counters(ck: Checkpoint) -> None:
@@ -472,20 +446,52 @@ def check_resume(checkpoint: Checkpoint, config: RunConfig) -> None:
     p, n = checkpoint.last_p, checkpoint.last_n
     if p < 2 or not is_prime_oracle(p) or prime_pi(p) != n:
         raise IncompatibleResumeError(f"checkpoint last_p = {p} is not p_{n}, the last_n-th prime")
+    _check_records(checkpoint)
+
+
+def _check_records(ck: Checkpoint) -> None:
+    """Raise IncompatibleResumeError unless every stored record is the stream's.
+
+    A record (n, p, gap, margin) needs p = p_n (prime, with pi(p) = n), p + gap
+    the next prime and margin = pi(p + n) - n, the primes in (p, p + n], all
+    found without the segmented sieve the stream uses.  It is flagged maximal
+    exactly when it is among the maximal records, and a first violation
+    violates its check.  p <= last_p bounds the work a forged record causes.
+    """
+    record_ns = {r.n for r in ck.maximal_records}
+    stored = [("maximal record", r) for r in ck.maximal_records]
+    stored += [(f"first violation of {name}", r) for name, r in ck.first_violations.items()]
+    for what, r in stored:
+        p, n = r.p, r.n
+        if not (
+            2 <= p <= ck.last_p
+            and is_prime_oracle(p)
+            and prime_pi(p) == n
+            and next_prime(p) - p == r.gap
+            and prime_pi(p + n) - n == r.theorem1_margin
+            and r.is_maximal == (n in record_ns)
+        ):
+            raise IncompatibleResumeError(
+                f"checkpoint {what} n={n},p={p},gap={r.gap},margin={r.theorem1_margin} "
+                "does not match the prime stream"
+            )
+    for name, r in ck.first_violations.items():
+        cols = (np.array([v], dtype=np.int64) for v in (r.n, r.p, r.gap, r.theorem1_margin))
+        if not CHECKS[name].violations(Block(*cols, np.array([r.is_maximal])))[0]:
+            raise IncompatibleResumeError(
+                f"checkpoint first violation of {name} at n={r.n} does not violate it"
+            )
 
 
 def resume(
-    checkpoint: Checkpoint,
-    config: RunConfig,
-    sink: RecordSink | None = None,
-    block_hook: BlockHook | None = None,
+    checkpoint: Checkpoint, config: RunConfig, sink: RecordSink | None = None
 ) -> VerificationSummary:
     """Continue a checkpointed run under `config`, as if never interrupted.
 
     The checkpoint must pass `check_resume`.
     """
     check_resume(checkpoint, config)
-    return _execute(config, sink, block_hook, checkpoint)
+    return run_verification(config, sink, checkpoint)
 
 
 # --------------------------------------------------------------------------
@@ -569,74 +575,58 @@ class Table1Row:
     bound: float  # (p + 1) / log p
 
 
-def _row_from_record(rec: GapRecord) -> Table1Row:
-    return Table1Row(
-        n=rec.n,
-        p=rec.p,
-        gap=rec.gap,
-        starred=rec.is_maximal,
-        margin=rec.theorem1_margin,
-        bound=bounds.empirical_bound(rec.p),
-    )
-
-
 def round1(value: float) -> str:
     """One-decimal string, rounding halves away from zero, as the table prints bounds."""
     return str(Decimal(repr(value)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
-def reproduce_table1(
+def table1_config(
     max_prime: int = TABLE1_LIMIT,
     *,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     checkpoint_path: str | None = None,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-    resume_from_checkpoint: bool = False,
-    threads: int | None = None,
-) -> list[Table1Row]:
-    """Recompute the reference rows with primes capped at `max_prime`.
-
-    Collects every index n <= 30 plus every record gap, sorted by index.
-    With `resume_from_checkpoint`, the scan continues from `checkpoint_path`
-    (rows n <= 30 are recomputed directly; they cost microseconds).
-    """
+) -> RunConfig:
+    """The run behind the table: theorem1 over every prime <= `max_prime`."""
     if not 3 <= max_prime <= TABLE1_LIMIT:
         raise ValueError(
             f"max_prime must be in [3, {TABLE1_LIMIT}] (the range the reference covers), "
             f"got {max_prime}"
         )
-    rows: dict[int, Table1Row] = {}
-
-    def hook(block: Block) -> None:
-        small = min(len(block), max(0, 31 - block.first_n))
-        for i in range(small):
-            rec = block.record_at(i)
-            rows[rec.n] = _row_from_record(rec)
-        for i in np.flatnonzero(block.is_maximal):
-            rec = block.record_at(int(i))
-            rows[rec.n] = _row_from_record(rec)
-
-    config = RunConfig(
+    return RunConfig(
         limit=max_prime,
         checks=("theorem1",),
         segment_size=segment_size,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
-        threads=threads,
     )
-    if resume_from_checkpoint:
-        if checkpoint_path is None:
-            raise ValueError("resume_from_checkpoint requires checkpoint_path")
-        ck = read_checkpoint(checkpoint_path)
-        for rec in gap_stream(min(_SMALL_ROW_COVER, max_prime)):
-            if rec.n <= 30:
-                rows[rec.n] = _row_from_record(rec)
-        for rec in ck.maximal_records:
-            rows[rec.n] = _row_from_record(rec)
-        resume(ck, config, block_hook=hook)
-    else:
-        run_verification(config, block_hook=hook)
+
+
+def table1_rows(summary: VerificationSummary) -> list[Table1Row]:
+    """The rows of a table run: every index n <= 30 plus every record gap, by index.
+
+    The records come from the summary, which a resumed run starts from the
+    checkpoint's; rows n <= 30 are recomputed on one small window.
+    """
+    cover = min(_SMALL_ROW_COVER, summary.limit)
+    small = [rec for rec in gap_stream(cover, segment_size=cover) if rec.n <= 30]
+    rows = {}
+    for r in (*small, *summary.maximal_records):
+        bound = bounds.empirical_bound(r.p)
+        rows[r.n] = Table1Row(r.n, r.p, r.gap, r.is_maximal, r.theorem1_margin, bound)
     return [rows[n] for n in sorted(rows)]
+
+
+def reproduce_table1(
+    max_prime: int = TABLE1_LIMIT, *, start: Checkpoint | None = None, **options
+) -> list[Table1Row]:
+    """Recompute the reference rows with primes capped at `max_prime`.
+
+    `options` are `table1_config`'s keywords; `start`, as in run_verification,
+    is a checkpoint that passed check_resume against that config.
+    """
+    config = table1_config(max_prime, **options)
+    return table1_rows(run_verification(config, start=start))
 
 
 def table1_mismatches(rows: list[Table1Row], max_prime: int = TABLE1_LIMIT) -> list[str]:

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from primegaps import verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, FORMATS, main
+from primegaps.gaps import GapRecord
 from primegaps.verify import (
     CHECKS,
     CheckDef,
@@ -247,6 +249,20 @@ def test_verify_resume_rejects_forged_counters(tmp_path, capsys, field, value):
     assert err.startswith("error: checkpoint") and err.count("\n") == 1
 
 
+def test_verify_resume_rejects_forged_record(tmp_path, capsys):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    ck = read_checkpoint(path)
+    assert ck.maximal_records[4] == GapRecord(24, 89, 8, True, 6)
+    forged = ck.maximal_records[:4] + (GapRecord(24, 91, 8, True, 6),) + ck.maximal_records[5:]
+    write_checkpoint(path, dataclasses.replace(ck, maximal_records=forged))
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: checkpoint maximal record n=24,p=91") and err.count("\n") == 1
+
+
 # A hash-valid file from format version 1, which also stored the look-ahead.
 V1_CHECKPOINT = """\
 format_version = 1
@@ -341,6 +357,55 @@ def test_table1_cli_subset(capsys):
     assert lines[30] == "30,113,14,true,4,24.1"
     assert lines[-1] == "40933,492113,114,true,3123,37547.4"
     assert "mismatch" not in err
+
+
+class Interrupt(Exception):
+    pass
+
+
+def interrupt_after_checkpoint(monkeypatch, last_n):
+    """Make the next run stop right after writing its checkpoint at last_n."""
+    write = verify.write_checkpoint
+
+    def write_then_stop(path, ck):
+        write(path, ck)
+        if ck.last_n == last_n:
+            raise Interrupt
+
+    monkeypatch.setattr(verify, "write_checkpoint", write_then_stop)
+
+
+def test_table1_cli_resume_matches_uninterrupted(tmp_path, capsys, monkeypatch):
+    argv = ["table1", "--max-prime", "1000000", "--format", "csv"]
+    code, full_out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    argv += ["--checkpoint", str(tmp_path / "table.ck"), "--interval", "20000"]
+    with monkeypatch.context() as patch:
+        interrupt_after_checkpoint(patch, 40_000)
+        with pytest.raises(Interrupt):
+            main(argv)
+    assert capsys.readouterr().out == ""
+    # records n = 30802 and 31545 come from the checkpoint, n = 40933 from the resumed run
+    code, resumed_out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_OK and "mismatch" not in err
+    assert resumed_out == full_out
+
+
+def test_table1_cli_resume_rejects_forged_checkpoint(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "table.ck"
+    argv = ["table1", "--max-prime", "1000000", "--checkpoint", str(path), "--interval", "20000"]
+    with monkeypatch.context() as patch:
+        interrupt_after_checkpoint(patch, 20_000)
+        with pytest.raises(Interrupt):
+            main(argv)
+    ck = read_checkpoint(path)
+    last = ck.maximal_records[-1]
+    assert (last.n, last.p) == (14357, 155921)
+    forged = ck.maximal_records[:-1] + (dataclasses.replace(last, theorem1_margin=1166),)
+    write_checkpoint(path, dataclasses.replace(ck, maximal_records=forged))
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: checkpoint maximal record n=14357") and err.count("\n") == 1
 
 
 def test_table1_cli_resume_flag_requires_checkpoint(capsys):

@@ -16,10 +16,12 @@ from primegaps.verify import (
     IncompatibleResumeError,
     RunConfig,
     Table1Row,
+    check_resume,
     read_checkpoint,
     reproduce_table1,
     resume,
     run_verification,
+    table1_config,
     table1_mismatches,
     write_checkpoint,
 )
@@ -346,6 +348,26 @@ def test_resume_validation(tmp_path):
     )
     with pytest.raises(IncompatibleResumeError, match="count"):
         resume(eps, RunConfig(limit=1000, checks=("theorem1", "epsilon_1_13")))
+    # Stored records that fit the counters but are not the stream's records.
+    t1 = RunConfig(limit=1000, checks=("theorem1",))
+    for records in (
+        m[:-1] + (GapRecord(24, 91, 8, True, 6),),  # 91 = 7 * 13
+        m[:-1] + (GapRecord(23, 89, 8, True, 6),),  # 89 is p_24
+        m[:-1] + (GapRecord(24, 89, 8, True, 7),),  # 6 primes in (89, 113]
+        m[:2] + (GapRecord(4, 7, 6, True, 1),) + m[4:],  # 7 is followed by 11
+        m[:-1] + (GapRecord(24, 89, 8, False, 6),),  # a maximal record without its flag
+    ):
+        with pytest.raises(IncompatibleResumeError, match="maximal record n="):
+            resume(dataclasses.replace(ck, maximal_records=records), t1)
+    for first, match in (
+        (GapRecord(20, 71, 30, False, 0), "first violation of theorem1 n=20"),  # gap is 2
+        (GapRecord(20, 71, 2, False, 4), "n=20 does not violate"),  # the true record
+    ):
+        forged = dataclasses.replace(
+            ck, violation_counts={"theorem1": 1}, first_violations={"theorem1": first}
+        )
+        with pytest.raises(IncompatibleResumeError, match=match):
+            resume(forged, t1)
 
 
 def test_reproduce_table1_subset():
@@ -363,8 +385,6 @@ def test_reproduce_table1_validation():
         reproduce_table1(2)
     with pytest.raises(ValueError):
         reproduce_table1(436273010)
-    with pytest.raises(ValueError, match="requires checkpoint_path"):
-        reproduce_table1(1000, resume_from_checkpoint=True)
 
 
 def test_table1_mismatch_detection():
@@ -388,10 +408,7 @@ def test_reproduce_table1_resume_matches_direct(tmp_path):
     reproduce_table1(1_000_000, checkpoint_path=str(path), checkpoint_interval=20_000)
     ck = read_checkpoint(path)
     assert ck.last_n == 60_000
-    resumed = reproduce_table1(
-        1_000_000,
-        checkpoint_path=str(path),
-        checkpoint_interval=20_000,
-        resume_from_checkpoint=True,
-    )
+    options = dict(checkpoint_path=str(path), checkpoint_interval=20_000)
+    check_resume(ck, table1_config(1_000_000, **options))
+    resumed = reproduce_table1(1_000_000, **options, start=ck)
     assert resumed == direct
