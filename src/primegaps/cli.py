@@ -121,14 +121,13 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # subcommands
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    records = (maximal_gaps if args.maximal_only else gap_stream)(
+        args.limit, segment_size=args.segment_size
+    )  # bad arguments raise here, before the header is written
     writer = RecordWriter(args.format, sys.stdout)
     writer.begin()
-    if args.maximal_only:
-        for rec in maximal_gaps(args.limit, segment_size=args.segment_size):
-            writer.write(rec)
-    else:
-        for rec in gap_stream(args.limit, segment_size=args.segment_size):
-            writer.write(rec)
+    for rec in records:
+        writer.write(rec)
     return EXIT_OK
 
 

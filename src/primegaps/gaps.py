@@ -247,10 +247,12 @@ class GapBlockStream:
 
 
 def gap_stream(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[GapRecord]:
-    """Yield one GapRecord per prime p_n <= limit, in ascending index order."""
+    """One GapRecord per prime p_n <= limit, in ascending index order.
+
+    The arguments are checked on the call, before the first record is asked for.
+    """
     stream = GapBlockStream(limit, segment_size=segment_size)
-    for block in stream.blocks():
-        yield from block.iter_records()
+    return (rec for block in stream.blocks() for rec in block.iter_records())
 
 
 def maximal_gaps(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[GapRecord]:

@@ -13,7 +13,6 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -25,6 +24,9 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 MAX_LIMIT = 1 << 62
 
 THREADS_ENV_VAR = "PRIMEGAP_THREADS"
+
+# Odd base primes below this strike a window by slices, larger ones by one scatter.
+SMALL_PRIME_CUTOFF = 1 << 14
 
 
 def _ceil_sqrt(num: int) -> int:
@@ -55,65 +57,51 @@ class BasePrimes:
             raise ValueError(f"base prime limit must be >= 2, got {limit}")
         return cls(limit=limit, primes=_simple_sieve(limit))
 
-    @cached_property
-    def as_ints(self) -> tuple[int, ...]:
-        """Base primes as plain ints (avoids int64 overflow when squaring)."""
-        return tuple(int(p) for p in self.primes)
-
     def covers(self, hi: int) -> bool:
         """True if these primes suffice to sieve a segment ending at `hi` (exclusive)."""
         return self.limit >= _ceil_sqrt(max(hi - 1, 1))
 
 
-@dataclass
-class Segment:
-    """Half-open window [lo, hi) with one composite mark per integer.
+def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
+    """The primes in [lo, hi), ascending, as int64.
 
-    After sieving, ``composite_marks[k]`` is True iff ``lo + k`` is composite.
+    Only odd integers are marked: ``composite[k]`` stands for ``first + 2k``,
+    where ``first`` is the least odd integer >= lo, and 2 is added apart.
+    Each odd base prime p with p*p < hi strikes its odd multiples from
+    max(p*p, lo) on, a stride of p in that index.  Primes below
+    SMALL_PRIME_CUTOFF strike by one slice each; the larger ones hit the
+    window a few times at most, so all their hits are built as one index
+    array and struck by one scatter.
+
+    Raises ValueError if lo < 2, the window is empty, or `base` does not
+    reach ceil(sqrt(hi - 1)).
     """
-
-    lo: int
-    hi: int
-    composite_marks: np.ndarray = field(default=None, repr=False)
-    max_size: int = field(default=DEFAULT_SEGMENT_SIZE, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.lo < 2:
-            raise ValueError(f"segment must start at 2 or above, got lo={self.lo}")
-        if self.hi <= self.lo:
-            raise ValueError(f"segment is empty: [{self.lo}, {self.hi})")
-        if self.hi - self.lo > self.max_size:
-            raise ValueError(
-                f"segment [{self.lo}, {self.hi}) exceeds configured size {self.max_size}"
-            )
-        if self.composite_marks is None:
-            self.composite_marks = np.zeros(self.hi - self.lo, dtype=bool)
-        elif len(self.composite_marks) != self.hi - self.lo:
-            raise ValueError("composite_marks length must equal hi - lo")
-
-
-def sieve_segment(segment: Segment, base: BasePrimes) -> np.ndarray:
-    """Mark composites in `segment` and return the primes in [lo, hi), ascending.
-
-    Raises ValueError if `base` does not reach ceil(sqrt(hi - 1)).
-    """
-    lo, hi = segment.lo, segment.hi
+    if lo < 2:
+        raise ValueError(f"segment must start at 2 or above, got lo={lo}")
+    if hi <= lo:
+        raise ValueError(f"segment is empty: [{lo}, {hi})")
     need = _ceil_sqrt(hi - 1)
     if base.limit < need:
         raise ValueError(
             f"segment [{lo}, {hi}) needs base primes up to {need}, "
             f"but base covers only {base.limit}"
         )
-    marks = segment.composite_marks
-    marks[:] = False
-    for p in base.as_ints:
-        start = p * p
-        if start >= hi:
-            break
-        if start < lo:
-            start = ((lo + p - 1) // p) * p
-        marks[start - lo :: p] = True
-    return (lo + np.flatnonzero(~marks)).astype(np.int64)
+    first = lo | 1
+    n = (hi - first + 1) // 2
+    composite = np.zeros(n, dtype=bool)
+    odd = base.primes[1 : np.searchsorted(base.primes, math.isqrt(hi - 1), side="right")]
+    start = np.maximum(odd * odd, (lo + odd - 1) // odd * odd)  # first multiple >= max(p*p, lo)
+    start += odd * (1 - (start & 1))  # an even multiple steps on to the next, odd one
+    idx = (start - first) >> 1
+    cut = np.searchsorted(odd, SMALL_PRIME_CUTOFF)
+    for p, i in zip(odd[:cut].tolist(), idx[:cut].tolist()):
+        composite[i::p] = True
+    p, i = odd[cut:], idx[cut:]
+    hits = np.maximum(n - i + p - 1, 0) // p
+    rank = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
+    composite[np.repeat(i, hits) + rank * np.repeat(p, hits)] = True
+    primes = first + 2 * np.flatnonzero(~composite).astype(np.int64)
+    return np.concatenate(([2], primes)) if lo == 2 else primes
 
 
 def _windows_up_to(limit: int, segment_size: int) -> Iterator[np.ndarray]:
@@ -263,9 +251,6 @@ class SegmentFeed:
             new_limit = max(self._base.limit * 2, _ceil_sqrt(hi - 1))
             self._base = BasePrimes.up_to(new_limit)
 
-    def _sieve_window(self, lo: int, hi: int, base: BasePrimes) -> np.ndarray:
-        return sieve_segment(Segment(lo=lo, hi=hi, max_size=self.segment_size), base)
-
     def _submit_next(self) -> None:
         lo = self._next_lo
         hi = lo + self.segment_size
@@ -279,7 +264,7 @@ class SegmentFeed:
         if self._pool is None:
             self._pending.append((lo, hi, None))
         else:
-            self._pending.append((lo, hi, self._pool.submit(self._sieve_window, lo, hi, base)))
+            self._pending.append((lo, hi, self._pool.submit(sieve_segment, lo, hi, base)))
 
     def next_segment(self) -> tuple[int, int, np.ndarray]:
         """Sieve (or collect) the next window; returns (lo, hi, primes)."""
@@ -287,7 +272,7 @@ class SegmentFeed:
         while len(self._pending) < want_ahead:
             self._submit_next()
         lo, hi, fut = self._pending.popleft()
-        primes = self._sieve_window(lo, hi, self._base) if fut is None else fut.result()
+        primes = sieve_segment(lo, hi, self._base) if fut is None else fut.result()
         return lo, hi, primes
 
     def close(self) -> None:

@@ -77,6 +77,21 @@ def test_gaps_bad_limit_is_operational_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--limit", "2"],
+        ["--limit", str(2**62 + 1)],
+        ["--limit", "100", "--segment-size", "0"],
+    ],
+)
+def test_gaps_bad_arguments_write_nothing_to_stdout(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, "gaps", *argv, "--format", fmt)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_errors_exit_2():
     for argv in (["gaps"], ["gaps", "--limit", "goose"], ["no-such-command"], []):
         with pytest.raises(SystemExit) as excinfo:

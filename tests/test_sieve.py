@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,8 @@ from hypothesis import strategies as st
 from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
+    SMALL_PRIME_CUTOFF,
     BasePrimes,
-    Segment,
     SegmentFeed,
     is_prime_oracle,
     next_prime,
@@ -48,35 +50,100 @@ def test_primes_up_to_rejects_bad_limits():
         primes_up_to(100, segment_size=0)
 
 
+def reference_sieve(lo, hi, base):
+    """The per-base-prime slice loop over every integer that the odd-only kernel replaced."""
+    marks = np.zeros(hi - lo, dtype=bool)
+    for p in base.primes.tolist():
+        start = p * p
+        if start >= hi:
+            break
+        if start < lo:
+            start = ((lo + p - 1) // p) * p
+        marks[start - lo :: p] = True
+    return (lo + np.flatnonzero(~marks)).astype(np.int64)
+
+
+def assert_kernel_matches_reference(lo, hi):
+    base = BasePrimes.up_to(max(2, math.isqrt(hi) + 1))
+    got = sieve_segment(lo, hi, base)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_sieve(lo, hi, base).tolist(), (lo, hi)
+
+
 def test_segment_validation():
+    base = BasePrimes.up_to(10)
     with pytest.raises(ValueError):
-        Segment(lo=1, hi=5)
+        sieve_segment(1, 5, base)
     with pytest.raises(ValueError):
-        Segment(lo=10, hi=10)
-    with pytest.raises(ValueError):
-        Segment(lo=2, hi=2 + DEFAULT_SEGMENT_SIZE + 1)
-    seg = Segment(lo=2, hi=10)
-    assert len(seg.composite_marks) == 8
-    assert not seg.composite_marks.any()
+        sieve_segment(10, 10, base)
+    assert sieve_segment(2, 10, base).tolist() == [2, 3, 5, 7]
 
 
 def test_sieve_segment_inner_window():
     base = BasePrimes.up_to(10)
-    seg = Segment(lo=90, hi=100)
-    assert sieve_segment(seg, base).tolist() == [97]
-    for offset, is_composite in enumerate(seg.composite_marks.tolist()):
-        assert is_composite == (not is_prime_oracle(90 + offset))
+    primes = sieve_segment(90, 100, base)
+    assert primes.tolist() == [97]
+    for k in range(90, 100):
+        assert (k in primes) == is_prime_oracle(k)
 
 
 def test_sieve_segment_empty_window():
     base = BasePrimes.up_to(10)
-    assert sieve_segment(Segment(lo=24, hi=29), base).tolist() == []
+    assert sieve_segment(24, 29, base).tolist() == []
 
 
 def test_sieve_segment_requires_sufficient_base():
     base = BasePrimes.up_to(5)
     with pytest.raises(ValueError, match="base primes up to 10"):
-        sieve_segment(Segment(lo=90, hi=100), base)
+        sieve_segment(90, 100, base)
+
+
+@pytest.mark.parametrize("scale", [10**6, 10**8, 10**10, 10**12])
+def test_sieve_segment_matches_reference_on_seeded_windows(scale):
+    # Above 1e10 some windows reach base primes past the cutoff that hit them
+    # many times (full-size windows) or at most once (narrow ones).
+    rng = np.random.default_rng(scale % 9973)
+    for width in (DEFAULT_SEGMENT_SIZE, *rng.integers(1, 1 << 16, size=3).tolist()):
+        lo = scale + int(rng.integers(0, 10**6))
+        assert_kernel_matches_reference(lo, lo + width)
+
+
+def test_sieve_segment_matches_reference_at_window_edges():
+    # Every start below 14 (so 2, 3, ..., 13 at the window's left end), even
+    # and odd starts, and windows of width 1.
+    for lo in range(2, 14):
+        for width in (1, 2, 3, 4, 50, 1000):
+            assert_kernel_matches_reference(lo, lo + width)
+    for lo in (10**8, 10**8 + 1, 10**12 + 38, 10**12 + 39):
+        for width in (1, 2, 3, 1000):
+            assert_kernel_matches_reference(lo, lo + width)
+
+
+def test_sieve_segment_matches_reference_around_prime_squares():
+    # A window that starts or ends at p*p - 1, p*p or p*p + 1 for primes that
+    # strike by slice (below the cutoff) and by scatter (above it).
+    below = [3, 5, 7, 11, 13, 8191, 16381]  # 16381: the largest prime below 2^14
+    above = [16411, 16417, 65537, 999983]
+    assert max(below) < SMALL_PRIME_CUTOFF < min(above)
+    for p in below + above:
+        for edge in (p * p - 1, p * p, p * p + 1):
+            for width in (1, 2, 777):
+                assert_kernel_matches_reference(edge, edge + width)
+                assert_kernel_matches_reference(max(2, edge - width), edge)
+
+
+@pytest.mark.parametrize("scale", [10**10, 10**12])
+def test_sieve_segment_agrees_with_oracle_far_out(scale):
+    rng = np.random.default_rng(scale % 7919)
+    lo = scale + int(rng.integers(0, 10**6))
+    hi = lo + (1 << 16)
+    primes = sieve_segment(lo, hi, BasePrimes.up_to(math.isqrt(hi) + 1))
+    odd = np.arange(lo | 1, hi, 2)
+    unreported = np.setdiff1d(odd, primes)
+    for k in rng.choice(primes, 20, replace=False).tolist():
+        assert is_prime_oracle(k), k
+    for k in rng.choice(unreported, 200, replace=False).tolist():
+        assert not is_prime_oracle(k), k
 
 
 def test_base_primes_cover():
