@@ -121,9 +121,10 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # subcommands
 
 def cmd_gaps(args: argparse.Namespace) -> int:
+    # Bad arguments raise here, before the header is written.
     records = (maximal_gaps if args.maximal_only else gap_stream)(
         args.limit, segment_size=args.segment_size
-    )  # bad arguments raise here, before the header is written
+    )
     writer = RecordWriter(args.format, sys.stdout)
     writer.begin()
     for rec in records:

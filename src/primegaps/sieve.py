@@ -100,7 +100,7 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     hits = np.maximum(n - i + p - 1, 0) // p
     rank = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
     composite[np.repeat(i, hits) + rank * np.repeat(p, hits)] = True
-    primes = first + 2 * np.flatnonzero(~composite).astype(np.int64)
+    primes = first + 2 * np.flatnonzero(~composite).astype(np.int64, copy=False)
     return np.concatenate(([2], primes)) if lo == 2 else primes
 
 

@@ -51,7 +51,7 @@ def test_primes_up_to_rejects_bad_limits():
 
 
 def reference_sieve(lo, hi, base):
-    """The per-base-prime slice loop over every integer that the odd-only kernel replaced."""
+    """Reference: one slice per base prime over every integer of the window, evens included."""
     marks = np.zeros(hi - lo, dtype=bool)
     for p in base.primes.tolist():
         start = p * p
@@ -123,7 +123,7 @@ def test_sieve_segment_matches_reference_around_prime_squares():
     # A window that starts or ends at p*p - 1, p*p or p*p + 1 for primes that
     # strike by slice (below the cutoff) and by scatter (above it).
     below = [3, 5, 7, 11, 13, 8191, 16381]  # 16381: the largest prime below 2^14
-    above = [16411, 16417, 65537, 999983]
+    above = [16411, 16417, 65537, 999983]  # 16411: the smallest prime above 2^14
     assert max(below) < SMALL_PRIME_CUTOFF < min(above)
     for p in below + above:
         for edge in (p * p - 1, p * p, p * p + 1):
