@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -67,13 +67,16 @@ class _StreamSeed:
 
 @dataclass(eq=False, slots=True)
 class Block:
-    """A contiguous run of emitted indices with parallel int64 arrays."""
+    """A contiguous run of emitted indices with parallel int64 arrays; for margins,
+    `lo` primes lie in (p_0, p_0 + n_0] and `window` holds the next ones to p_last + n_last."""
 
     ns: np.ndarray
     ps: np.ndarray
     gaps: np.ndarray
-    margins: np.ndarray
     is_maximal: np.ndarray
+    window: np.ndarray
+    lo: int
+    _margins: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.ns)
@@ -90,13 +93,24 @@ class Block:
     def last_p(self) -> int:
         return int(self.ps[-1])
 
+    @property
+    def margins(self) -> np.ndarray:
+        """Primes in (p_i, p_i + n_i] for every row, computed once on first access."""
+        if self._margins is None:
+            self._margins = self._margin(np.arange(len(self.ns)))
+        return self._margins
+
+    def _margin(self, i: int | np.ndarray):
+        # lo + (window primes <= p_i + n_i) primes after p_0 are <= p_i + n_i; i are <= p_i
+        return self.lo + np.searchsorted(self.window, self.ps[i] + self.ns[i], side="right") - i
+
     def record_at(self, i: int) -> GapRecord:
         return GapRecord(
             n=int(self.ns[i]),
             p=int(self.ps[i]),
             gap=int(self.gaps[i]),
             is_maximal=bool(self.is_maximal[i]),
-            theorem1_margin=int(self.margins[i]),
+            theorem1_margin=int(self._margin(i) if self._margins is None else self._margins[i]),
         )
 
     def iter_records(self) -> Iterator[GapRecord]:
@@ -206,18 +220,11 @@ class GapBlockStream:
         ps = store[i0:i1].copy()  # later moves overwrite the store
         ns = np.arange(self._first_n + i0, self._first_n + i1, dtype=np.int64)
         gaps = store[i0 + 1 : i1 + 1] - ps
-        targets = ps + ns
-        # Every prime up to the last target is in the store.  Merge the targets
-        # into the slice of it they span: a stable sort of two sorted runs is
-        # a linear merge, and keeps a prime ahead of an equal target.  Target
-        # k then follows k targets and pos - k slice primes, so lo + pos - k
-        # primes beyond p_0 are <= p_k + n_k, and k of them are <= p_k.
+        # Every prime up to the last target p + n is in the store.  The block keeps
+        # a copy of those beyond the first target (later moves overwrite the store).
         after = store[i0 + 1 : self._tail]
-        lo = int(np.searchsorted(after, targets[0], side="right"))
-        hi = int(np.searchsorted(after, targets[-1], side="right"))
-        merged = np.argsort(np.concatenate([after[lo:hi], targets]), kind="stable")
-        pos = np.flatnonzero(merged >= hi - lo)
-        margins = pos + (lo + 2 * ns[0]) - 2 * ns
+        lo = int(np.searchsorted(after, store[i0] + ns[0], side="right"))
+        hi = int(np.searchsorted(after, store[i1 - 1] + ns[-1], side="right"))
         running = np.maximum.accumulate(gaps)
         prev = np.empty_like(running)
         prev[0] = self._gap_max
@@ -225,7 +232,7 @@ class GapBlockStream:
         is_maximal = gaps > prev
         self._gap_max = max(self._gap_max, int(running[-1]))
         self._head = i1
-        return Block(ns=ns, ps=ps, gaps=gaps, margins=margins, is_maximal=is_maximal)
+        return Block(ns, ps, gaps, is_maximal, window=after[lo:hi].copy(), lo=lo)
 
     def blocks(self) -> Iterator[Block]:
         """Yield blocks in order until every prime <= limit has been emitted."""

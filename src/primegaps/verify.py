@@ -67,8 +67,8 @@ CHECKS: dict[str, CheckDef] = {
             "theorem1",
             "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
             1,
-            # either the gap or the margin failing flags the row
-            lambda block: (block.margins < 1) | (block.gaps > block.ns),
+            # p_(n+1) = p_n + gap, so (p_n, p_n + n] holds a prime (margin >= 1) iff gap <= n
+            lambda block: block.gaps > block.ns,
         ),
         *map(_gap_check, bounds.GAP_BOUNDS),
     )
@@ -476,8 +476,9 @@ def _check_records(ck: Checkpoint) -> None:
                 "does not match the prime stream"
             )
     for name, r in ck.first_violations.items():
-        cols = (np.array([v], dtype=np.int64) for v in (r.n, r.p, r.gap, r.theorem1_margin))
-        if not CHECKS[name].violations(Block(*cols, np.array([r.is_maximal])))[0]:
+        cols = (np.array([v], dtype=np.int64) for v in (r.n, r.p, r.gap))
+        block = Block(*cols, np.array([r.is_maximal]), np.empty(0, np.int64), r.theorem1_margin)
+        if not CHECKS[name].violations(block)[0]:
             raise IncompatibleResumeError(
                 f"checkpoint first violation of {name} at n={r.n} does not violate it"
             )

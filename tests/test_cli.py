@@ -362,6 +362,29 @@ def test_bounds_cli_golden(capsys, p):
         assert "\ncorollary1,24895.89612164826,34.0,true,\n" in out
 
 
+# sha256 of stdout for commands that print every margin or a few of them,
+# frozen before margins were computed on demand.
+MARGIN_GOLDEN = {
+    ("gaps", "--limit", "100000", "--format", "csv"):
+        "728b5ac27d3d6d1dadf7484b0b46b25f76cbf156f4c54c1c21a1a7fb56f02dc1",
+    ("gaps", "--limit", "100000", "--format", "jsonl"):
+        "c2b368a2bbad0d1564c15bb8f6ef0f13e6c5876c538dd629d5f1001e778620aa",
+    ("gaps", "--limit", "100000", "--format", "table"):
+        "9720aac2c5e733cdd047c8d672ef5cf5d0b6c4bc441e752a5221959f02ca4b6a",
+    ("gaps", "--maximal-only", "--limit", "1000000"):
+        "ad94d981bc7638d3869df0bd7dbb295c2d757d236d51d5844f98be1fa6d12a09",
+    ("verify", "--limit", "200000", "--emit", "all", "--format", "csv"):
+        "4e7cb8c69ab0997744c14b2860506bbfc42a4bf88d3532cd2fb94041f29c82f6",
+}
+
+
+@pytest.mark.parametrize("argv", list(MARGIN_GOLDEN), ids="_".join)
+def test_margin_output_golden(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MARGIN_GOLDEN[argv]
+
+
 def test_table1_cli_subset(capsys):
     code, out, err = run_cli(capsys, "table1", "--max-prime", "1000000", "--format", "csv")
     assert code == EXIT_OK

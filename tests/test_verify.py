@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from primegaps import bounds
-from primegaps.gaps import Block, GapRecord
+from primegaps.gaps import Block, GapBlockStream, GapRecord, _StreamSeed
 from primegaps.sieve import primes_up_to
 from primegaps.verify import (
     CHECKS,
@@ -116,7 +116,7 @@ def test_vectorized_checks_redecide_near_ties(monkeypatch):
     # p = 60017 has empirical bound 5455.000000164... (gap 5455 is fine).
     def one_row_block(p: int, gap: int) -> Block:
         arr = lambda v: np.array([v], dtype=np.int64)
-        return Block(arr(10), arr(p), arr(gap), arr(1), np.array([False]))
+        return Block(arr(10), arr(p), arr(gap), np.array([False]), window=arr(0)[:0], lo=1)
 
     corollary1, empirical = CHECKS["corollary1"].violations, CHECKS["empirical"].violations
     assert corollary1(one_row_block(263101, 23119)).tolist() == [True]
@@ -129,6 +129,37 @@ def test_vectorized_checks_redecide_near_ties(monkeypatch):
     monkeypatch.setattr(bounds, "corollary1_holds", lambda p, g: seen.append(p) or scalar(p, g))
     assert corollary1(one_row_block(263101, 23119)).tolist() == [True]
     assert seen == [263101]
+
+
+def test_theorem1_decides_on_the_gap_alone():
+    # A one-row block with an empty window has margin lo.  Gap n puts the next
+    # prime at p + n, inside (p, p + n]; gap n + 1 leaves that window empty.
+    theorem1 = CHECKS["theorem1"].violations
+    arr = lambda v: np.array([v], dtype=np.int64)
+    for gap, margin, violates in ((10, 1, False), (11, 0, True)):
+        block = Block(arr(10), arr(101), arr(gap), np.array([False]), window=arr(0)[:0], lo=margin)
+        assert block.margins.tolist() == [margin]
+        assert block.record_at(0).theorem1_margin == margin
+        assert theorem1(block).tolist() == [violates]
+        assert ((block.margins < 1) | (block.gaps > block.ns)).tolist() == [violates]
+
+
+@pytest.mark.parametrize("seeded_at", [None, 700])
+def test_theorem1_flags_the_rows_whose_window_is_empty(seeded_at):
+    # margin < 1 and gap > n flag the same rows, so the gap-only check equals
+    # the former two-column predicate on every block.
+    seed = _StreamSeed()
+    if seeded_at is not None:
+        ref = primes_up_to(10_000)
+        gap_max = int(np.diff(ref[: seeded_at + 1]).max())
+        seed = _StreamSeed(next_n=seeded_at + 1, last_p=int(ref[seeded_at - 1]), gap_max=gap_max)
+    rows = 0
+    for block in GapBlockStream(10**6, seed=seed).blocks():
+        empty, too_long = block.margins < 1, block.gaps > block.ns
+        assert empty.tolist() == too_long.tolist()
+        assert CHECKS["theorem1"].violations(block).tolist() == (empty | too_long).tolist()
+        rows += len(block)
+    assert rows == 78_498 - (seeded_at or 0)
 
 
 def test_summary_canonical_lines_deterministic():
