@@ -12,13 +12,14 @@ from .bounds import (
     empirical_bound,
     proof_chain_check,
 )
-from .gaps import GapRecord, GapWitness, gap_stream, gap_witness, maximal_gaps
+from .gaps import GapRecord, GapWitness, gap_stream, gap_witness
 from .sieve import is_prime_oracle, next_prime, prime_count, primes_up_to
 from .verify import (
     Checkpoint,
     CheckpointError,
     RunConfig,
     VerificationSummary,
+    maximal_gaps,
     read_checkpoint,
     reproduce_table1,
     resume,

@@ -16,8 +16,8 @@ import json
 import sys
 
 from . import bounds
-from .gaps import GapRecord, gap_stream, gap_witness, maximal_gaps
-from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_count
+from .gaps import GapRecord, gap_stream, gap_witness
+from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_count, sieve_threads
 from .verify import (
     CHECKS,
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -27,8 +27,10 @@ from .verify import (
     Checkpoint,
     CheckpointError,
     RunConfig,
+    ShardError,
     VerificationSummary,
     check_resume,
+    maximal_gaps,
     read_checkpoint,
     round1,
     run_verification,
@@ -376,8 +378,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.command in ("gaps", "verify", "table1"):
+            sieve_threads()  # a bad PRIMEGAP_THREADS fails before stdout is touched
         return args.func(args)
-    except (CheckpointError, ValueError, OverflowError, OSError) as exc:
+    except (CheckpointError, ShardError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

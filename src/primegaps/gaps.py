@@ -130,6 +130,7 @@ class GapBlockStream:
     An index n is emitted only once sieving covers p_n + n and the successor
     prime, so gaps and margins are exact at emission time.  With `cut_every`
     set, no block crosses a multiple of that index (checkpoint boundaries).
+    With `threads` > 1 the feed sieves windows ahead on a thread pool.
     """
 
     def __init__(
@@ -138,6 +139,7 @@ class GapBlockStream:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         cut_every: int | None = None,
         seed: _StreamSeed = _StreamSeed(),
+        threads: int = 1,
     ) -> None:
         if limit < 3:
             raise ValueError(f"limit must be >= 3 (need a prime and its successor), got {limit}")
@@ -157,7 +159,7 @@ class GapBlockStream:
         self._first_n = seed.next_n
         self._sieved_hi = seed.last_p + 1  # everything below this has been sieved
         self._gap_max = seed.gap_max
-        self._feed = SegmentFeed(start=self._sieved_hi, segment_size=segment_size)
+        self._feed = SegmentFeed(self._sieved_hi, segment_size, threads=threads)
 
     @property
     def gap_max(self) -> int:
@@ -260,16 +262,6 @@ def gap_stream(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator
     """
     stream = GapBlockStream(limit, segment_size=segment_size)
     return (rec for block in stream.blocks() for rec in block.iter_records())
-
-
-def maximal_gaps(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[GapRecord]:
-    """Record gaps up to `limit`: every prime whose gap exceeds all earlier gaps."""
-    out: list[GapRecord] = []
-    stream = GapBlockStream(limit, segment_size=segment_size)
-    for block in stream.blocks():
-        for i in np.flatnonzero(block.is_maximal):
-            out.append(block.record_at(int(i)))
-    return out
 
 
 def gap_witness(m: int) -> GapWitness:

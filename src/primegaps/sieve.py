@@ -106,7 +106,7 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
 
 def _windows_up_to(limit: int, segment_size: int) -> Iterator[np.ndarray]:
     """The primes of each window of a single-threaded feed, cut at limit."""
-    feed = SegmentFeed(segment_size=segment_size, threads=1, limit=limit)
+    feed = SegmentFeed(segment_size=segment_size, limit=limit)
     hi = 2
     while hi <= limit:
         _, hi, primes = feed.next_segment()
@@ -203,7 +203,11 @@ def next_prime(p: int) -> int:
 
 
 def sieve_threads() -> int:
-    """Worker count for segment prefetching; overridden by PRIMEGAP_THREADS."""
+    """Workers of a verification run, os.cpu_count() unless PRIMEGAP_THREADS sets it.
+
+    A run splits them over its shard processes; a shard given more than one
+    prefetches sieve windows on that many threads.
+    """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is not None:
         try:
@@ -219,17 +223,17 @@ def sieve_threads() -> int:
 class SegmentFeed:
     """Ordered stream of (lo, hi, primes) triples covering [start, ...) upward.
 
-    Segments are sieved ahead on a small thread pool when more than one
-    worker is configured; hand-off order is always ascending regardless of
-    completion order. Base primes grow on demand as segments climb.  With
-    `limit` set, the window that reaches it ends at limit + 1 and is the last.
+    Segments are sieved ahead on a small thread pool when `threads` > 1;
+    hand-off order is always ascending regardless of completion order.
+    Base primes grow on demand as segments climb.  With `limit` set, the
+    window that reaches it ends at limit + 1 and is the last.
     """
 
     def __init__(
         self,
         start: int = 2,
         segment_size: int = DEFAULT_SEGMENT_SIZE,
-        threads: int | None = None,
+        threads: int = 1,
         limit: int | None = None,
     ) -> None:
         if start < 2:
@@ -237,7 +241,7 @@ class SegmentFeed:
         if segment_size < 1:
             raise ValueError(f"segment_size must be positive, got {segment_size}")
         self.segment_size = segment_size
-        self.threads = sieve_threads() if threads is None else max(1, threads)
+        self.threads = max(1, threads)
         self._next_lo = start
         self._limit = limit
         self._base = BasePrimes.up_to(max(2, _ceil_sqrt(start + segment_size)))

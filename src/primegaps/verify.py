@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 from typing import Callable
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bounds
 from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
-from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_pi
+from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_pi, sieve_threads
 
 CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_INTERVAL = 1_000_000
@@ -305,6 +305,129 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 # --------------------------------------------------------------------------
 # the run engine
 
+# A run is cut into shards of at least this many integers (four default windows).
+_MIN_SHARD = 4 * DEFAULT_SEGMENT_SIZE
+
+
+class ShardError(RuntimeError):
+    """A shard process of a run failed or exited without its result."""
+
+
+@dataclass(slots=True)
+class _Tally:
+    """What a run, or one shard of it, has found up to last_p = p_(last_n)."""
+
+    counts: dict[str, int]
+    firsts: dict[str, GapRecord]
+    maximal: list[GapRecord]
+    last_n: int
+    last_p: int
+    gap_max: int
+
+    def checkpoint(self, limit: int) -> Checkpoint:
+        return Checkpoint(
+            CHECKPOINT_VERSION, limit, self.last_n, self.last_p, self.gap_max,
+            dict(self.counts), dict(self.firsts), tuple(self.maximal),
+        )
+
+
+def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None, threads: int):
+    """Check every prime in (tally.last_p, limit], adding to `tally`.
+
+    `sink` receives the rows config.emit selects; with `threads` > 1 the
+    feed sieves windows ahead on a thread pool.  With a checkpoint path
+    configured, state is persisted each time the index crosses a multiple of
+    the checkpoint interval.
+    """
+    cut = config.checkpoint_interval if config.checkpoint_path else None
+    seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
+    stream = GapBlockStream(limit, config.segment_size, cut, seed, threads)
+    defs = [CHECKS[name] for name in config.checks]
+    for block in stream.blocks():
+        violated = np.zeros(len(block), dtype=bool)
+        for cd in defs:
+            hits = cd.violations(block)
+            k = int(np.count_nonzero(hits))
+            if k:
+                tally.counts[cd.name] += k
+                if cd.name not in tally.firsts:
+                    tally.firsts[cd.name] = block.record_at(int(np.flatnonzero(hits)[0]))
+                violated |= hits
+        for i in np.flatnonzero(block.is_maximal):
+            tally.maximal.append(block.record_at(int(i)))
+        if sink is not None:
+            if config.emit == "all":
+                for rec in block.iter_records():
+                    sink(rec)
+            else:
+                emitted = block.is_maximal if config.emit == "maximal" else violated
+                for i in np.flatnonzero(emitted):
+                    sink(block.record_at(int(i)))
+        tally.last_n, tally.last_p, tally.gap_max = block.last_n, block.last_p, stream.gap_max
+        if config.checkpoint_path and tally.last_n % config.checkpoint_interval == 0:
+            write_checkpoint(config.checkpoint_path, tally.checkpoint(config.limit))
+
+
+def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
+    """x0 < x_1 < ... < x_K = limit: run (x0, limit] as K shards (x_k, x_(k+1)].
+
+    K is the worker count (PRIMEGAP_THREADS), and 1 when the run writes
+    checkpoints, streams every row in order (emit="all"), cannot fork, or
+    would cut shards below _MIN_SHARD integers.
+    """
+    k = 1
+    if not config.checkpoint_path and config.emit != "all" and hasattr(os, "fork"):
+        k = max(1, min(sieve_threads(), (config.limit - x0) // _MIN_SHARD))
+    return [x0 + (config.limit - x0) * i // k for i in range(k + 1)]
+
+
+def _shard_child(config: RunConfig, lo: int, hi: int, threads: int, keep_rows: bool, conn) -> None:
+    """Run shard (lo, hi] in a forked child and send (tally, rows) or a ShardError.
+
+    The shard starts at index pi(lo) + 1 with zero counters, so its records
+    are local ones.  The child leaves by os._exit: it never flushes the
+    stdout buffers it inherited.
+    """
+    code = 1
+    try:
+        n0 = prime_pi(lo)
+        tally = _Tally(dict.fromkeys(config.checks, 0), {}, [], n0, lo, 0)
+        held: list[GapRecord] = []
+        _scan(config, tally, hi, held.append if keep_rows else None, threads)
+        conn.send((tally, held))
+        code = 0
+    except Exception as exc:
+        conn.send(ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}"))
+    finally:
+        os._exit(code)
+
+
+def _merge(tally: _Tally, shard: _Tally, rows: list[GapRecord], emit: str, sink) -> None:
+    """Add a later shard to the tally of the shards before it.
+
+    Counts add and earlier first violations win.  A local record stays one
+    only if its gap beats every gap before the shard; every other row of the
+    shard loses its record flag.  Rows go to `sink` (under emit="maximal",
+    only the records that stay).
+    """
+    kept = {r.n for r in shard.maximal if r.gap > tally.gap_max}
+
+    def flagged(r: GapRecord) -> GapRecord:
+        return r if r.n in kept or not r.is_maximal else replace(r, is_maximal=False)
+
+    for name, count in shard.counts.items():
+        tally.counts[name] += count
+    for name, r in shard.firsts.items():
+        tally.firsts.setdefault(name, flagged(r))
+    tally.maximal += [r for r in shard.maximal if r.n in kept]
+    for r in map(flagged, rows):
+        if emit == "violations" or r.is_maximal:
+            sink(r)
+    # a shard spans at least _MIN_SHARD integers, so it holds primes
+    tally.last_n, tally.last_p = shard.last_n, shard.last_p
+    tally.gap_max = max(tally.gap_max, shard.gap_max)
+
+
 def run_verification(
     config: RunConfig,
     sink: RecordSink | None = None,
@@ -317,66 +440,74 @@ def run_verification(
     emit="violations"), never raised.  With a checkpoint path configured,
     state is persisted each time the index crosses a multiple of the
     checkpoint interval.
+
+    The range is cut into shards (see _shard_cuts).  This process runs the
+    first and streams its rows as they come; each later shard runs in a
+    forked child, and its result is merged and its rows streamed in shard
+    order, so output does not depend on the shard count.
     """
     t0 = time.perf_counter()
     if start is None:
-        seed, counts, firsts, maximal = _StreamSeed(), dict.fromkeys(config.checks, 0), {}, []
+        tally = _Tally(dict.fromkeys(config.checks, 0), {}, [], 0, 1, 0)
     else:
-        seed = _StreamSeed(next_n=start.last_n + 1, last_p=start.last_p, gap_max=start.gap_max)
-        counts = {name: start.violation_counts[name] for name in config.checks}
-        firsts, maximal = dict(start.first_violations), list(start.maximal_records)
-    cut = config.checkpoint_interval if config.checkpoint_path else None
-    stream = GapBlockStream(config.limit, config.segment_size, cut_every=cut, seed=seed)
-    defs = [CHECKS[name] for name in config.checks]
-    last_n, last_p = seed.next_n - 1, seed.last_p
-    for block in stream.blocks():
-        violated = np.zeros(len(block), dtype=bool)
-        for cd in defs:
-            hits = cd.violations(block)
-            k = int(np.count_nonzero(hits))
-            if k:
-                counts[cd.name] += k
-                if cd.name not in firsts:
-                    firsts[cd.name] = block.record_at(int(np.flatnonzero(hits)[0]))
-                violated |= hits
-        for i in np.flatnonzero(block.is_maximal):
-            maximal.append(block.record_at(int(i)))
-        if sink is not None:
-            if config.emit == "all":
-                for rec in block.iter_records():
-                    sink(rec)
-            else:
-                emitted = block.is_maximal if config.emit == "maximal" else violated
-                for i in np.flatnonzero(emitted):
-                    sink(block.record_at(int(i)))
-        last_n, last_p = block.last_n, block.last_p
-        if config.checkpoint_path and last_n % config.checkpoint_interval == 0:
-            write_checkpoint(
-                config.checkpoint_path,
-                Checkpoint(
-                    version=CHECKPOINT_VERSION,
-                    limit=config.limit,
-                    last_n=last_n,
-                    last_p=last_p,
-                    gap_max=stream.gap_max,
-                    violation_counts=dict(counts),
-                    first_violations=dict(firsts),
-                    maximal_records=tuple(maximal),
-                ),
-            )
+        tally = _Tally(
+            {name: start.violation_counts[name] for name in config.checks},
+            dict(start.first_violations),
+            list(start.maximal_records),
+            start.last_n,
+            start.last_p,
+            start.gap_max,
+        )
+    cuts = _shard_cuts(config, tally.last_p)
+    threads = sieve_threads() // (len(cuts) - 1)  # each shard's share of the workers
+    shards = []
+    try:
+        if len(cuts) > 2:
+            import multiprocessing  # here, so a one-shard run never imports it
+
+            fork = multiprocessing.get_context("fork")
+            for lo, hi in zip(cuts[1:], cuts[2:]):
+                conn, child_end = fork.Pipe(duplex=False)
+                args = (config, lo, hi, threads, sink is not None, child_end)
+                proc = fork.Process(target=_shard_child, args=args, daemon=True)
+                proc.start()
+                shards.append((proc, conn))
+                child_end.close()
+        _scan(config, tally, cuts[1], sink, threads)
+        for proc, conn in shards:
+            try:
+                got = conn.recv()
+            except EOFError:
+                raise ShardError("a shard process exited without its result") from None
+            if isinstance(got, ShardError):
+                raise got
+            _merge(tally, *got, config.emit, sink)
+    finally:
+        for proc, conn in shards:
+            conn.close()
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+    n, counts, firsts = tally.last_n, tally.counts, tally.firsts
     stats = tuple(
-        CheckStats(cd.name, cd.applied_count(last_n), counts[cd.name], firsts.get(cd.name))
-        for cd in defs
+        CheckStats(name, CHECKS[name].applied_count(n), counts[name], firsts.get(name))
+        for name in config.checks
     )
     return VerificationSummary(
         limit=config.limit,
-        primes_processed=last_n,
-        last_prime=last_p,
-        gap_max=stream.gap_max,
+        primes_processed=tally.last_n,
+        last_prime=tally.last_p,
+        gap_max=tally.gap_max,
         checks=stats,
-        maximal_records=tuple(maximal),
+        maximal_records=tuple(tally.maximal),
         wall_time_s=time.perf_counter() - t0,
     )
+
+
+def maximal_gaps(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[GapRecord]:
+    """Record gaps up to `limit`: every prime whose gap exceeds all earlier gaps."""
+    config = RunConfig(limit, checks=("theorem1",), segment_size=segment_size)
+    return list(run_verification(config).maximal_records)
 
 
 def _check_counters(ck: Checkpoint) -> None:

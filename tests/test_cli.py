@@ -167,6 +167,18 @@ def test_verify_finding_exit_code(monkeypatch, capsys):
     assert "# check always_fails: applied=25 violations=25 first=n=1,p=2,gap=1,margin=1" in out
 
 
+@pytest.mark.parametrize("threads", ["0", "x"])
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--limit", "1000"], ["table1", "--max-prime", "1000"], ["gaps", "--limit", "1000"]],
+)
+def test_bad_thread_count_writes_nothing_to_stdout(monkeypatch, capsys, threads, argv):
+    monkeypatch.setenv("PRIMEGAP_THREADS", threads)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error: PRIMEGAP_THREADS must be") and err.count("\n") == 1
+
+
 def test_verify_unknown_check(capsys):
     code, _, err = run_cli(capsys, "verify", "--limit", "100", "--checks", "bogus")
     assert code == EXIT_ERROR and "unknown checks" in err

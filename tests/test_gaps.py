@@ -11,9 +11,9 @@ from primegaps.gaps import (
     _StreamSeed,
     gap_stream,
     gap_witness,
-    maximal_gaps,
 )
 from primegaps.sieve import primes_up_to
+from primegaps.verify import maximal_gaps
 
 # (m, p, gap) for the factorial witness construction; gaps verified against
 # trial division.
