@@ -330,14 +330,19 @@ class _Tally:
             dict(self.counts), dict(self.firsts), tuple(self.maximal),
         )
 
+    def copy(self) -> _Tally:
+        return replace(self, counts=dict(self.counts), firsts=dict(self.firsts),
+                       maximal=list(self.maximal))
 
-def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None, threads: int):
+
+def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None, threads: int,
+          at_multiple: Callable[[_Tally], None]):
     """Check every prime in (tally.last_p, limit], adding to `tally`.
 
     `sink` receives the rows config.emit selects; with `threads` > 1 the
     feed sieves windows ahead on a thread pool.  With a checkpoint path
-    configured, state is persisted each time the index crosses a multiple of
-    the checkpoint interval.
+    configured, blocks end on every multiple of the checkpoint interval, and
+    `at_multiple` is called with the tally each time the index reaches one.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
@@ -365,36 +370,45 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
                     sink(block.record_at(int(i)))
         tally.last_n, tally.last_p, tally.gap_max = block.last_n, block.last_p, stream.gap_max
         if config.checkpoint_path and tally.last_n % config.checkpoint_interval == 0:
-            write_checkpoint(config.checkpoint_path, tally.checkpoint(config.limit))
+            at_multiple(tally)
 
 
 def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
     """x0 < x_1 < ... < x_K = limit: run (x0, limit] as K shards (x_k, x_(k+1)].
 
-    K is the worker count (PRIMEGAP_THREADS), and 1 when the run writes
-    checkpoints, streams every row in order (emit="all"), cannot fork, or
-    would cut shards below _MIN_SHARD integers.
+    K is the worker count (PRIMEGAP_THREADS), and 1 when the run streams
+    every row in order (emit="all"), cannot fork, or would cut shards below
+    _MIN_SHARD integers.  A checkpointed run, or its resume from last_p,
+    shards like any other.
     """
     k = 1
-    if not config.checkpoint_path and config.emit != "all" and hasattr(os, "fork"):
+    if config.emit != "all" and hasattr(os, "fork"):
         k = max(1, min(sieve_threads(), (config.limit - x0) // _MIN_SHARD))
     return [x0 + (config.limit - x0) * i // k for i in range(k + 1)]
 
 
 def _shard_child(config: RunConfig, lo: int, hi: int, threads: int, keep_rows: bool, conn) -> None:
-    """Run shard (lo, hi] in a forked child and send (tally, rows) or a ShardError.
+    """Run shard (lo, hi] in a forked child and send its result or a ShardError.
 
-    The shard starts at index pi(lo) + 1 with zero counters, so its records
-    are local ones.  The child leaves by os._exit: it never flushes the
-    stdout buffers it inherited.
+    The shard starts after index n0 = pi(lo) with zero counters, so its
+    records are local ones.  The result is (n0, tally, rows, last), where
+    last is a copy of the tally at the shard's last multiple of the
+    checkpoint interval (None without one).  The child leaves by os._exit: it
+    never flushes the stdout buffers it inherited.
     """
     code = 1
     try:
         n0 = prime_pi(lo)
         tally = _Tally(dict.fromkeys(config.checks, 0), {}, [], n0, lo, 0)
         held: list[GapRecord] = []
-        _scan(config, tally, hi, held.append if keep_rows else None, threads)
-        conn.send((tally, held))
+        last = None
+
+        def keep(t: _Tally) -> None:
+            nonlocal last
+            last = t.copy()
+
+        _scan(config, tally, hi, held.append if keep_rows else None, threads, keep)
+        conn.send((n0, tally, held, last))
         code = 0
     except Exception as exc:
         conn.send(ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}"))
@@ -437,14 +451,19 @@ def run_verification(
 
     The run starts at n = 1, or after `start`, a checkpoint that passed
     `check_resume`.  Violations are counted (and streamed to `sink` under
-    emit="violations"), never raised.  With a checkpoint path configured,
-    state is persisted each time the index crosses a multiple of the
-    checkpoint interval.
+    emit="violations"), never raised.
 
     The range is cut into shards (see _shard_cuts).  This process runs the
     first and streams its rows as they come; each later shard runs in a
     forked child, and its result is merged and its rows streamed in shard
-    order, so output does not depend on the shard count.
+    order, so output does not depend on the shard count.  A shard must start
+    right after the index where the shards before it end (ShardError if not).
+
+    With a checkpoint path configured, this process writes the merged state
+    each time the index of its own shard reaches a multiple of the checkpoint
+    interval, and, as it merges a later shard, the merged state at that
+    shard's last multiple.  Each file has the bytes of a one-shard run's file
+    at the same index.
     """
     t0 = time.perf_counter()
     if start is None:
@@ -458,6 +477,10 @@ def run_verification(
             start.last_p,
             start.gap_max,
         )
+
+    def save(t: _Tally) -> None:  # looks write_checkpoint up per call; bench/tracer.py wraps it
+        write_checkpoint(config.checkpoint_path, t.checkpoint(config.limit))
+
     cuts = _shard_cuts(config, tally.last_p)
     threads = sieve_threads() // (len(cuts) - 1)  # each shard's share of the workers
     shards = []
@@ -471,19 +494,29 @@ def run_verification(
                 args = (config, lo, hi, threads, sink is not None, child_end)
                 proc = fork.Process(target=_shard_child, args=args, daemon=True)
                 proc.start()
-                shards.append((proc, conn))
+                shards.append((lo, hi, proc, conn))
                 child_end.close()
-        _scan(config, tally, cuts[1], sink, threads)
-        for proc, conn in shards:
+        _scan(config, tally, cuts[1], sink, threads, save)
+        for lo, hi, proc, conn in shards:
             try:
                 got = conn.recv()
             except EOFError:
                 raise ShardError("a shard process exited without its result") from None
             if isinstance(got, ShardError):
                 raise got
-            _merge(tally, *got, config.emit, sink)
+            n0, shard, rows, last = got
+            if tally.last_n != n0:
+                raise ShardError(
+                    f"shard ({lo}, {hi}] starts after index {n0} "
+                    f"but the shards before it end at index {tally.last_n}"
+                )
+            if last is not None:
+                at_last = tally.copy()
+                _merge(at_last, last, [], config.emit, sink)
+                save(at_last)
+            _merge(tally, shard, rows, config.emit, sink)
     finally:
-        for proc, conn in shards:
+        for _, _, proc, conn in shards:
             conn.close()
             if proc.is_alive():
                 proc.terminate()

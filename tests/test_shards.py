@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,10 +68,12 @@ def test_cut_points(shards):
     assert verify._shard_cuts(RunConfig(limit=AT_PRIME, emit="all"), 1) == [1, AT_PRIME]
     ck = RunConfig(limit=AT_PRIME, checkpoint_path="unused.ck")
     assert verify._shard_cuts(ck, 1) == [1, AT_PRIME]
+    shards(2)  # a checkpointed run shards like any other
+    assert verify._shard_cuts(ck, 1) == cuts(AT_PRIME)
 
 
 @pytest.mark.parametrize(
-    "workers, checkpoint, threads", [(2, True, 2), (2, False, 1), (4, False, 2)]
+    "workers, checkpoint, threads", [(2, True, 1), (2, False, 1), (4, False, 2)]
 )
 def test_shards_share_the_workers_as_sieve_threads(
     shards, monkeypatch, tmp_path, workers, checkpoint, threads
@@ -209,3 +212,138 @@ def test_header_written_before_the_fork_appears_once():
     assert sharded.count(RECORD_CSV_HEADER) == 1
     assert sharded == run("1")
 
+
+
+# (limit, interval, K, the shard holding the run's last multiple of the interval)
+CHECKPOINT_CASES = [
+    (45_000, 2_500, 2, 1),  # shard 2 holds no multiple
+    (BELOW_PRIME, 1_000, 2, 2),
+    (AT_PRIME, 4_000, 3, 2),  # shards 1 and 3 hold none
+    (AT_PRIME, 1_000, 3, 3),  # every shard holds several
+    (30_000, 2_500, 3, 3),  # only shard 3 holds one
+]
+CHECKPOINT_ARGV = [
+    ["verify", "--emit", "maximal"],
+    ["verify", "--emit", "violations", "--checks", "theorem1,gap_lt_30,bertrand"],
+    ["table1", "--format", "csv"],
+]
+
+
+def parent_writes(limit: int, interval: int) -> list[int]:
+    """The indices a sharded run writes: each multiple in the first shard, then
+    the last multiple of each later shard that holds one."""
+    ns = [verify.prime_pi(x) for x in cuts(limit)]
+    last = [n // interval * interval for n in ns]
+    later = [m for m, before in zip(last[2:], last[1:]) if m > before]
+    return list(range(interval, last[1] + 1, interval)) + later
+
+
+def checkpointed_run(capsys, monkeypatch, argv, k, shards):
+    """(exit code, stdout, [(last_n, file bytes) per write], final file bytes) on K shards."""
+    path = Path(argv[argv.index("--checkpoint") + 1])
+    writes = []
+
+    def record(p, ck):
+        write(p, ck)
+        writes.append((ck.last_n, Path(p).read_bytes()))
+
+    write = verify.write_checkpoint
+    monkeypatch.setattr(verify, "write_checkpoint", record)
+    shards(k)
+    code, out, _ = cli_out(capsys, argv)
+    monkeypatch.setattr(verify, "write_checkpoint", write)
+    final = path.read_bytes()
+    path.unlink()
+    return code, out, writes, final
+
+
+@pytest.mark.parametrize("argv", CHECKPOINT_ARGV, ids=["maximal", "violations", "table1"])
+@pytest.mark.parametrize("limit, interval, k, shard", CHECKPOINT_CASES)
+def test_checkpointed_runs_do_not_depend_on_shards(
+    capsys, monkeypatch, tmp_path, shards, gap_ge_30, argv, limit, interval, k, shard
+):
+    shards(k)
+    expected = parent_writes(limit, interval)
+    last = verify.prime_pi(limit) // interval * interval
+    assert expected[-1] == last and verify.prime_pi(cuts(limit)[shard - 1]) < last
+    assert last <= verify.prime_pi(cuts(limit)[shard])
+    flag = "--max-prime" if argv[0] == "table1" else "--limit"
+    argv = argv + [flag, str(limit), "--checkpoint", str(tmp_path / "run.ck")]
+    argv += ["--interval", str(interval)]
+    one = checkpointed_run(capsys, monkeypatch, argv, 1, shards)
+    code, out, writes, final = checkpointed_run(capsys, monkeypatch, argv, k, shards)
+    assert (code, out, final) == (one[0], one[1], one[3])
+    assert [n for n, _ in one[2]] == list(range(interval, last + 1, interval))
+    # a later shard's earlier multiples are not written; each written file is the one-shard one
+    assert [n for n, _ in writes] == expected
+    assert set(writes) <= set(one[2])
+
+
+def test_sharded_resume_of_a_sharded_run_equals_the_uninterrupted_run(
+    capsys, tmp_path, shards, gap_ge_30
+):
+    path = str(tmp_path / "run.ck")
+    argv = ["verify", "--emit", "violations", "--checks", "theorem1,gap_lt_30"]
+    argv += ["--checkpoint", path, "--interval", "1000"]
+    shards(1)
+    code, full, _ = cli_out(capsys, argv + ["--limit", "100000"])
+    full_ck = Path(path).read_bytes()
+    shards(3)
+    assert cli_out(capsys, argv + ["--limit", str(AT_PRIME)])[0] == code == EXIT_FINDING
+    ck = verify.read_checkpoint(path)
+    assert ck.last_n == 6000
+    config = RunConfig(limit=100_000, checks=("theorem1", "gap_lt_30"), checkpoint_path=path)
+    assert len(verify._shard_cuts(config, ck.last_p)) == 4  # the resume shards too
+    code, resumed, _ = cli_out(capsys, argv + ["--limit", "100000", "--resume"])
+    assert code == EXIT_FINDING and Path(path).read_bytes() == full_ck
+    header, *rows = full.splitlines()
+    after = [r for r in rows if r.startswith("#") or int(r.split(",")[0]) > ck.last_n]
+    assert resumed.splitlines() == [header, *after]
+
+
+def test_child_that_fails_leaves_the_last_merged_checkpoint(capsys, monkeypatch, tmp_path, shards):
+    # K = 3 to 59 977 at interval 1000: the parent writes 1000 and 2000 (its own shard), then
+    # 4000 when it merges shard 2; shard 3 fails past p = 55 000, after its own multiple 5000
+    def boom(block):
+        if block.ps[-1] > 55_000:
+            raise RuntimeError("disk on fire")
+        return np.zeros(len(block), dtype=bool)
+
+    monkeypatch.setitem(CHECKS, "boom", CheckDef("boom", "test-only", 1, boom))
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", str(AT_PRIME), "--checks", "theorem1,boom"]
+    argv += ["--checkpoint", str(path), "--interval", "1000"]
+    shards(3)
+    code, _, err = cli_out(capsys, argv)
+    assert code == EXIT_ERROR and err.count("\n") == 1
+    assert err.startswith(f"error: shard ({cuts(AT_PRIME)[2]}, 59977] failed: RuntimeError: disk")
+    assert multiprocessing.active_children() == []
+    assert [f.name for f in tmp_path.iterdir()] == ["run.ck"]  # no *.tmp left
+    ck = verify.read_checkpoint(path)
+    assert ck.last_n == 4000
+    config = RunConfig(limit=AT_PRIME, checks=("theorem1", "boom"))
+    verify.check_resume(ck, config)
+
+    monkeypatch.setitem(CHECKS, "boom", CheckDef("boom", "test-only", 1, lambda b: b.gaps < 0))
+    code, resumed, _ = cli_out(capsys, argv + ["--resume"])
+    assert code == EXIT_OK
+    resumed_ck = path.read_bytes()
+    shards(1)
+    code, full, _ = cli_out(capsys, argv)
+    header, *rows = full.splitlines()
+    after = [r for r in rows if r.startswith("#") or int(r.split(",")[0]) > 4000]
+    assert resumed.splitlines() == [header, *after] and path.read_bytes() == resumed_ck
+
+
+def test_shard_that_does_not_continue_the_index_gives_one_error_line(capsys, monkeypatch, shards):
+    shards(2)
+    pi = verify.prime_pi
+    monkeypatch.setattr(verify, "prime_pi", lambda x: pi(x) + 1)  # only shard children call it
+    code, _, err = cli_out(capsys, ["verify", "--limit", str(AT_PRIME)])
+    n0 = pi(29_989)
+    assert code == EXIT_ERROR and err.count("\n") == 1
+    assert err == (
+        f"error: shard (29989, 59977] starts after index {n0 + 1} "
+        f"but the shards before it end at index {n0}\n"
+    )
+    assert multiprocessing.active_children() == []
