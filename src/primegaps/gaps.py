@@ -130,7 +130,6 @@ class GapBlockStream:
     An index n is emitted only once sieving covers p_n + n and the successor
     prime, so gaps and margins are exact at emission time.  With `cut_every`
     set, no block crosses a multiple of that index (checkpoint boundaries).
-    With `threads` > 1 the feed sieves windows ahead on a thread pool.
     """
 
     def __init__(
@@ -139,7 +138,6 @@ class GapBlockStream:
         segment_size: int = DEFAULT_SEGMENT_SIZE,
         cut_every: int | None = None,
         seed: _StreamSeed = _StreamSeed(),
-        threads: int = 1,
     ) -> None:
         if limit < 3:
             raise ValueError(f"limit must be >= 3 (need a prime and its successor), got {limit}")
@@ -148,7 +146,6 @@ class GapBlockStream:
         if cut_every is not None and cut_every < 1:
             raise ValueError(f"cut_every must be positive, got {cut_every}")
         self.limit = limit
-        self.segment_size = segment_size
         self.cut_every = cut_every
         # store[:tail] holds consecutive primes: store[i] is the prime with
         # index _first_n + i.  Positions before head are emitted; [head, tail)
@@ -159,7 +156,7 @@ class GapBlockStream:
         self._first_n = seed.next_n
         self._sieved_hi = seed.last_p + 1  # everything below this has been sieved
         self._gap_max = seed.gap_max
-        self._feed = SegmentFeed(self._sieved_hi, segment_size, threads=threads)
+        self._feed = SegmentFeed(self._sieved_hi, segment_size)
 
     @property
     def gap_max(self) -> int:
@@ -238,21 +235,18 @@ class GapBlockStream:
 
     def blocks(self) -> Iterator[Block]:
         """Yield blocks in order until every prime <= limit has been emitted."""
-        try:
-            while True:
-                run = self._ready_run()
-                if run == 0:
-                    return
-                while run:
-                    take = run
-                    if self.cut_every:
-                        first_n = self._first_n + self._head
-                        room = self.cut_every - (first_n - 1) % self.cut_every
-                        take = min(take, room)
-                    yield self._take(take)
-                    run -= take
-        finally:
-            self._feed.close()
+        while True:
+            run = self._ready_run()
+            if run == 0:
+                return
+            while run:
+                take = run
+                if self.cut_every:
+                    first_n = self._first_n + self._head
+                    room = self.cut_every - (first_n - 1) % self.cut_every
+                    take = min(take, room)
+                yield self._take(take)
+                run -= take
 
 
 def gap_stream(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> Iterator[GapRecord]:

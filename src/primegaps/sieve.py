@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
+
+# A window holds one bool per odd integer, so this cap keeps it within 512 MiB.
+MAX_SEGMENT_SIZE = 1 << 30
 
 # Keep every intermediate quantity (including p + pi(p) look-ahead targets)
 # comfortably inside signed 64-bit arithmetic.
@@ -32,6 +33,11 @@ SMALL_PRIME_CUTOFF = 1 << 14
 def _ceil_sqrt(num: int) -> int:
     root = math.isqrt(num)
     return root if root * root == num else root + 1
+
+
+def _check_segment_size(size: int) -> None:
+    if not 1 <= size <= MAX_SEGMENT_SIZE:
+        raise ValueError(f"segment_size must be positive and <= {MAX_SEGMENT_SIZE}, got {size}")
 
 
 def _simple_sieve(limit: int) -> np.ndarray:
@@ -105,12 +111,10 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
 
 
 def _windows_up_to(limit: int, segment_size: int) -> Iterator[np.ndarray]:
-    """The primes of each window of a single-threaded feed, cut at limit."""
-    feed = SegmentFeed(segment_size=segment_size, limit=limit)
-    hi = 2
-    while hi <= limit:
-        _, hi, primes = feed.next_segment()
-        yield primes
+    """The primes of each window [lo, lo + segment_size) from 2, the last cut at limit."""
+    base = BasePrimes.up_to(_ceil_sqrt(limit))
+    for lo in range(2, limit + 1, segment_size):
+        yield sieve_segment(lo, min(lo + segment_size, limit + 1), base)
 
 
 def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
@@ -119,15 +123,13 @@ def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.nda
         raise ValueError(f"limit must be >= 2 (no primes below 2), got {limit}")
     if limit > MAX_LIMIT:
         raise OverflowError(f"limit {limit} exceeds supported maximum {MAX_LIMIT}")
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
+    _check_segment_size(segment_size)
     return np.concatenate(list(_windows_up_to(limit, segment_size)))
 
 
 def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     """pi(limit): the number of primes <= limit (0 for limit < 2)."""
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
+    _check_segment_size(segment_size)
     if limit < 2:
         return 0
     if limit > MAX_LIMIT:
@@ -205,8 +207,8 @@ def next_prime(p: int) -> int:
 def sieve_threads() -> int:
     """Workers of a verification run, os.cpu_count() unless PRIMEGAP_THREADS sets it.
 
-    A run splits them over its shard processes; a shard given more than one
-    prefetches sieve windows on that many threads.
+    A run cuts its range into at most this many shard processes, each of
+    which sieves on one thread.
     """
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is not None:
@@ -223,69 +225,35 @@ def sieve_threads() -> int:
 class SegmentFeed:
     """Ordered stream of (lo, hi, primes) triples covering [start, ...) upward.
 
-    Segments are sieved ahead on a small thread pool when `threads` > 1;
-    hand-off order is always ascending regardless of completion order.
-    Base primes grow on demand as segments climb.  With `limit` set, the
-    window that reaches it ends at limit + 1 and is the last.
+    Each window is sieved when it is asked for; base primes grow on demand
+    as windows climb.
     """
 
     def __init__(
-        self,
-        start: int = 2,
-        segment_size: int = DEFAULT_SEGMENT_SIZE,
-        threads: int = 1,
-        limit: int | None = None,
+        self, start: int = 2, segment_size: int = DEFAULT_SEGMENT_SIZE, threads: int = 1
     ) -> None:
+        if threads != 1:  # ROADMAP item 6 removes this keyword along with bench/worker.py's use
+            raise ValueError(f"a SegmentFeed sieves on one thread, got threads={threads}")
         if start < 2:
             raise ValueError(f"feed must start at 2 or above, got {start}")
-        if segment_size < 1:
-            raise ValueError(f"segment_size must be positive, got {segment_size}")
+        _check_segment_size(segment_size)
         self.segment_size = segment_size
-        self.threads = max(1, threads)
         self._next_lo = start
-        self._limit = limit
         self._base = BasePrimes.up_to(max(2, _ceil_sqrt(start + segment_size)))
-        self._pool: ThreadPoolExecutor | None = None
-        self._pending: deque = deque()
-        if self.threads > 1:
-            self._pool = ThreadPoolExecutor(max_workers=self.threads)
-
-    def _ensure_base(self, hi: int) -> None:
-        if not self._base.covers(hi):
-            new_limit = max(self._base.limit * 2, _ceil_sqrt(hi - 1))
-            self._base = BasePrimes.up_to(new_limit)
-
-    def _submit_next(self) -> None:
-        lo = self._next_lo
-        hi = lo + self.segment_size
-        if self._limit is not None:
-            hi = min(hi, self._limit + 1)
-        elif hi > MAX_LIMIT:
-            raise OverflowError(f"segment end {hi} exceeds supported maximum {MAX_LIMIT}")
-        self._ensure_base(hi)
-        base = self._base
-        self._next_lo = hi
-        if self._pool is None:
-            self._pending.append((lo, hi, None))
-        else:
-            self._pending.append((lo, hi, self._pool.submit(sieve_segment, lo, hi, base)))
 
     def next_segment(self) -> tuple[int, int, np.ndarray]:
-        """Sieve (or collect) the next window; returns (lo, hi, primes)."""
-        want_ahead = self.threads if self._pool is not None else 1
-        while len(self._pending) < want_ahead:
-            self._submit_next()
-        lo, hi, fut = self._pending.popleft()
-        primes = sieve_segment(lo, hi, self._base) if fut is None else fut.result()
-        return lo, hi, primes
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        """Sieve the next window; returns (lo, hi, primes)."""
+        lo = self._next_lo
+        hi = lo + self.segment_size
+        if hi > MAX_LIMIT:
+            raise OverflowError(f"segment end {hi} exceeds supported maximum {MAX_LIMIT}")
+        if not self._base.covers(hi):
+            self._base = BasePrimes.up_to(max(self._base.limit * 2, _ceil_sqrt(hi - 1)))
+        self._next_lo = hi
+        return lo, hi, sieve_segment(lo, hi, self._base)
 
     def __enter__(self) -> SegmentFeed:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass

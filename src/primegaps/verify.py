@@ -24,7 +24,8 @@ import numpy as np
 
 from . import bounds
 from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
-from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_pi, sieve_threads
+from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, _check_segment_size, is_prime_oracle
+from .sieve import next_prime, prime_pi, sieve_threads
 
 CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_INTERVAL = 1_000_000
@@ -96,6 +97,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.limit < 3:
             raise ValueError(f"limit must be >= 3, got {self.limit}")
+        if self.limit > MAX_LIMIT:
+            raise OverflowError(f"limit {self.limit} exceeds supported maximum {MAX_LIMIT}")
+        _check_segment_size(self.segment_size)
         if not self.checks:
             raise ValueError("at least one check must be selected")
         unknown = [name for name in self.checks if name not in CHECKS]
@@ -335,18 +339,18 @@ class _Tally:
                        maximal=list(self.maximal))
 
 
-def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None, threads: int,
+def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
           at_multiple: Callable[[_Tally], None]):
     """Check every prime in (tally.last_p, limit], adding to `tally`.
 
-    `sink` receives the rows config.emit selects; with `threads` > 1 the
-    feed sieves windows ahead on a thread pool.  With a checkpoint path
+    Sieving, checks and `sink` all run on the calling thread; `sink`
+    receives the rows config.emit selects.  With a checkpoint path
     configured, blocks end on every multiple of the checkpoint interval, and
     `at_multiple` is called with the tally each time the index reaches one.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
-    stream = GapBlockStream(limit, config.segment_size, cut, seed, threads)
+    stream = GapBlockStream(limit, config.segment_size, cut, seed)
     defs = [CHECKS[name] for name in config.checks]
     for block in stream.blocks():
         violated = np.zeros(len(block), dtype=bool)
@@ -387,7 +391,7 @@ def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
     return [x0 + (config.limit - x0) * i // k for i in range(k + 1)]
 
 
-def _shard_child(config: RunConfig, lo: int, hi: int, threads: int, keep_rows: bool, conn) -> None:
+def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, conn) -> None:
     """Run shard (lo, hi] in a forked child and send its result or a ShardError.
 
     The shard starts after index n0 = pi(lo) with zero counters, so its
@@ -407,7 +411,7 @@ def _shard_child(config: RunConfig, lo: int, hi: int, threads: int, keep_rows: b
             nonlocal last
             last = t.copy()
 
-        _scan(config, tally, hi, held.append if keep_rows else None, threads, keep)
+        _scan(config, tally, hi, held.append if keep_rows else None, keep)
         conn.send((n0, tally, held, last))
         code = 0
     except Exception as exc:
@@ -482,7 +486,6 @@ def run_verification(
         write_checkpoint(config.checkpoint_path, t.checkpoint(config.limit))
 
     cuts = _shard_cuts(config, tally.last_p)
-    threads = sieve_threads() // (len(cuts) - 1)  # each shard's share of the workers
     shards = []
     try:
         if len(cuts) > 2:
@@ -491,12 +494,12 @@ def run_verification(
             fork = multiprocessing.get_context("fork")
             for lo, hi in zip(cuts[1:], cuts[2:]):
                 conn, child_end = fork.Pipe(duplex=False)
-                args = (config, lo, hi, threads, sink is not None, child_end)
+                args = (config, lo, hi, sink is not None, child_end)
                 proc = fork.Process(target=_shard_child, args=args, daemon=True)
                 proc.start()
                 shards.append((lo, hi, proc, conn))
                 child_end.close()
-        _scan(config, tally, cuts[1], sink, threads, save)
+        _scan(config, tally, cuts[1], sink, save)
         for lo, hi, proc, conn in shards:
             try:
                 got = conn.recv()

@@ -1,9 +1,20 @@
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 from primegaps.sieve import is_prime_oracle, primes_up_to
 
 ORACLE_COVER = 110_600  # covers p + n for every prime p <= 100_000
+
+
+@pytest.fixture(autouse=True)
+def one_thread_no_children():
+    """Shard processes are a run's only parallelism, and none outlives its run."""
+    yield
+    assert threading.active_count() == 1, threading.enumerate()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

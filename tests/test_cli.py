@@ -10,6 +10,7 @@ import pytest
 from primegaps import verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, FORMATS, main
 from primegaps.gaps import GapRecord
+from primegaps.sieve import MAX_SEGMENT_SIZE
 from primegaps.verify import (
     CHECKS,
     CheckDef,
@@ -84,10 +85,27 @@ def test_gaps_bad_limit_is_operational_error(capsys):
         ["--limit", "2"],
         ["--limit", str(2**62 + 1)],
         ["--limit", "100", "--segment-size", "0"],
+        ["--limit", "100", "--segment-size", str(MAX_SEGMENT_SIZE + 1)],
     ],
 )
 def test_gaps_bad_arguments_write_nothing_to_stdout(capsys, argv, fmt):
     code, out, err = run_cli(capsys, "gaps", *argv, "--format", fmt)
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("emit", ["maximal", "all"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--limit", "100", "--segment-size", "0"],
+        ["--limit", str(2**62 + 1)],
+    ],
+)
+def test_verify_bad_arguments_write_nothing_to_stdout(capsys, monkeypatch, argv, emit, fmt):
+    monkeypatch.setenv("PRIMEGAP_THREADS", "1")  # a rejected run must not start at all
+    code, out, err = run_cli(capsys, "verify", *argv, "--emit", emit, "--format", fmt)
     assert code == EXIT_ERROR and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -115,6 +133,15 @@ def test_bad_segment_size_is_operational_error(capsys):
         ["pi", "100", "--segment-size", "-5"],
         ["bounds", "97", "--segment-size", "-1"],
         ["pi", "100", "--segment-size", "0"],
+        *(
+            [*argv, "--segment-size", str(MAX_SEGMENT_SIZE + 1)]
+            for argv in (
+                ["gaps", "--limit", "100"],
+                ["verify", "--limit", "100"],
+                ["table1", "--max-prime", "100"],
+                ["pi", "100"],
+            )
+        ),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_ERROR and out == ""

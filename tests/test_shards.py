@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -72,25 +73,19 @@ def test_cut_points(shards):
     assert verify._shard_cuts(ck, 1) == cuts(AT_PRIME)
 
 
-@pytest.mark.parametrize(
-    "workers, checkpoint, threads", [(2, True, 1), (2, False, 1), (4, False, 2)]
-)
-def test_shards_share_the_workers_as_sieve_threads(
-    shards, monkeypatch, tmp_path, workers, checkpoint, threads
-):
-    shards(workers)
-    monkeypatch.setattr(verify, "_MIN_SHARD", AT_PRIME // 2)  # at most two shards
+@pytest.mark.parametrize("emit, min_shard", [("all", 100), ("maximal", AT_PRIME // 2)])
+def test_a_run_starts_no_thread(shards, monkeypatch, emit, min_shard):
+    # one shard streaming every row, and two shards for four workers
+    shards(4)
+    monkeypatch.setattr(verify, "_MIN_SHARD", min_shard)
     seen = []
 
-    class Stream(verify.GapBlockStream):
-        def __init__(self, *args):
-            seen.append(args[-1])
-            super().__init__(*args)
+    def sink(r: GapRecord) -> None:
+        assert threading.active_count() == 1
+        seen.append(r)
 
-    monkeypatch.setattr(verify, "GapBlockStream", Stream)
-    path = str(tmp_path / "run.ck") if checkpoint else None
-    run_verification(RunConfig(limit=AT_PRIME, checkpoint_path=path))
-    assert seen == [threads]  # this process's shard; children run theirs
+    run_verification(RunConfig(limit=AT_PRIME, emit=emit), sink=sink)
+    assert seen
 
 
 @pytest.mark.parametrize("k", [2, 3])

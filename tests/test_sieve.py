@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
+    MAX_SEGMENT_SIZE,
     SMALL_PRIME_CUTOFF,
     BasePrimes,
     SegmentFeed,
@@ -260,15 +261,18 @@ def test_segment_feed_from_offset_start():
     assert primes.tolist() == all_primes[all_primes >= 1000].tolist()
 
 
-def test_segment_feed_multithreaded_matches_serial():
-    with SegmentFeed(start=2, segment_size=5000, threads=3) as a, SegmentFeed(
-        start=2, segment_size=5000, threads=1
-    ) as b:
-        for _ in range(6):
-            la, ha, pa = a.next_segment()
-            lb, hb, pb = b.next_segment()
-            assert (la, ha) == (lb, hb)
-            assert pa.tolist() == pb.tolist()
+def test_segment_feed_sieves_on_one_thread():
+    with pytest.raises(ValueError, match="one thread"):
+        SegmentFeed(threads=2)
+
+
+def test_segment_size_cap():
+    assert primes_up_to(1000, segment_size=MAX_SEGMENT_SIZE).tolist() == primes_up_to(1000).tolist()
+    for bad in (0, MAX_SEGMENT_SIZE + 1):
+        with pytest.raises(ValueError, match="segment_size"):
+            SegmentFeed(segment_size=bad)
+        with pytest.raises(ValueError, match="segment_size"):
+            prime_count(100, segment_size=bad)
 
 
 def test_sieve_threads_env(monkeypatch):
