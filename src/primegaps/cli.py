@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import bounds
-from .gaps import GapRecord, gap_stream, gap_witness
+from .gaps import GapRecord, gap_witness
 from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_count, sieve_threads
 from .verify import (
     CHECKS,
@@ -30,7 +30,6 @@ from .verify import (
     ShardError,
     VerificationSummary,
     check_resume,
-    maximal_gaps,
     read_checkpoint,
     round1,
     run_verification,
@@ -115,6 +114,23 @@ def _write_summary(summary: VerificationSummary, fmt: str, out) -> None:
         out.write(prefix + line + "\n")
 
 
+def _write_rows(out, fmt: str, names: tuple[str, ...], rows, table_lines) -> None:
+    """Rows (tuples in `names` order) as a csv header and lines or one JSON object
+    each; the table format writes `table_lines` instead."""
+    if fmt == "csv":
+        out.write(",".join(names) + "\n")
+        for row in rows:
+            cells = ("" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+                     for v in row)  # a float's str is its repr
+            out.write(",".join(cells) + "\n")
+    elif fmt == "jsonl":
+        for row in rows:
+            out.write(json.dumps(dict(zip(names, row))) + "\n")
+    else:
+        for line in table_lines:
+            out.write(line + "\n")
+
+
 def _parse_checks(raw: str) -> tuple[str, ...]:
     return tuple(name.strip() for name in raw.split(",") if name.strip())
 
@@ -122,15 +138,17 @@ def _parse_checks(raw: str) -> tuple[str, ...]:
 # --------------------------------------------------------------------------
 # subcommands
 
-def cmd_gaps(args: argparse.Namespace) -> int:
-    # Bad arguments raise here, before the header is written.
-    records = (maximal_gaps if args.maximal_only else gap_stream)(
-        args.limit, segment_size=args.segment_size
-    )
-    writer = RecordWriter(args.format, sys.stdout)
+def _stream(config: RunConfig, fmt: str, start: Checkpoint | None = None) -> VerificationSummary:
+    """Run `config`, writing its selected records to stdout as they come."""
+    writer = RecordWriter(fmt, sys.stdout)
     writer.begin()
-    for rec in records:
-        writer.write(rec)
+    return run_verification(config, sink=writer.write, start=start)
+
+
+def cmd_gaps(args: argparse.Namespace) -> int:
+    # a theorem1 run: every row streams from one process, records from every shard
+    emit = "maximal" if args.maximal_only else "all"
+    _stream(RunConfig(args.limit, ("theorem1",), args.segment_size, emit=emit), args.format)
     return EXIT_OK
 
 
@@ -153,9 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         emit=args.emit,
     )
     start = _resume_start(args, config)  # a rejected resume writes nothing to stdout
-    writer = RecordWriter(args.format, sys.stdout)
-    writer.begin()
-    summary = run_verification(config, sink=writer.write, start=start)
+    summary = _stream(config, args.format, start)
     _write_summary(summary, args.format, sys.stdout)
     print(f"# wall_time_s = {summary.wall_time_s:.3f}", file=sys.stderr)
     return EXIT_OK if summary.clean else EXIT_FINDING
@@ -165,13 +181,8 @@ def cmd_pi(args: argparse.Namespace) -> int:
     if args.x < 0:
         raise ValueError(f"pi expects a non-negative integer, got {args.x}")
     value = prime_count(args.x, segment_size=args.segment_size)
-    if args.format == "csv":
-        sys.stdout.write("x,pi\n")
-        sys.stdout.write(f"{args.x},{value}\n")
-    elif args.format == "jsonl":
-        sys.stdout.write(json.dumps({"x": args.x, "pi": value}) + "\n")
-    else:
-        sys.stdout.write(f"pi({args.x}) = {value}\n")
+    table = [f"pi({args.x}) = {value}"]
+    _write_rows(sys.stdout, args.format, ("x", "pi"), [(args.x, value)], table)
     return EXIT_OK
 
 
@@ -193,26 +204,18 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     rows = [_bound_row(b, n, p, gap, "p") for b in bounds.GAP_BOUNDS]
     rows += [_bound_row(b, n, p, n, "x") for b in bounds.COUNT_BOUNDS]
 
-    out = sys.stdout
-    if args.format == "jsonl":
-        out.write(json.dumps({"p": p, "n": n, "gap": gap}) + "\n")
-        keys = ("check", "bound_value", "observed", "holds", "note")
-        for row in rows:
-            out.write(json.dumps(dict(zip(keys, row))) + "\n")
-    elif args.format == "csv":
-        out.write(f"# p = {p}, n = {n}, gap = {gap}\n")
-        out.write("check,bound_value,observed,holds,note\n")
-        for name, bound_value, observed, holds, note in rows:
-            bv = "" if bound_value is None else repr(bound_value)
-            hv = "" if holds is None else str(holds).lower()
-            out.write(f"{name},{bv},{observed},{hv},{note}\n")
-    else:
-        out.write(f"p = {p}\nn = pi(p) = {n}\ngap = {gap}\n")
-        out.write(f"{'check':<16} {'bound':>20} {'observed':>12} {'holds':>6}  note\n")
-        for name, bound_value, observed, holds, note in rows:
-            bv = "-" if bound_value is None else f"{bound_value:.4f}"
-            hv = "-" if holds is None else str(holds).lower()
-            out.write(f"{name:<16} {bv:>20} {observed:>12} {hv:>6}  {note}\n")
+    if args.format == "csv":
+        sys.stdout.write(f"# p = {p}, n = {n}, gap = {gap}\n")
+    elif args.format == "jsonl":
+        sys.stdout.write(json.dumps({"p": p, "n": n, "gap": gap}) + "\n")
+    table = [f"p = {p}", f"n = pi(p) = {n}", f"gap = {gap}"]
+    table.append(f"{'check':<16} {'bound':>20} {'observed':>12} {'holds':>6}  note")
+    for name, bound_value, observed, holds, note in rows:
+        bv = "-" if bound_value is None else f"{bound_value:.4f}"
+        hv = "-" if holds is None else str(holds).lower()
+        table.append(f"{name:<16} {bv:>20} {observed:>12} {hv:>6}  {note}")
+    names = ("check", "bound_value", "observed", "holds", "note")
+    _write_rows(sys.stdout, args.format, names, rows, table)
     failed = any(holds is False for _, _, _, holds, _ in rows)
     return EXIT_FINDING if failed else EXIT_OK
 
@@ -225,36 +228,14 @@ def cmd_table1(args: argparse.Namespace) -> int:
         checkpoint_interval=args.interval,
     )
     rows = table1_rows(run_verification(config, start=_resume_start(args, config)))
-    out = sys.stdout
-    if args.format == "csv":
-        out.write("n,p,gap,starred,margin,bound\n")
-        for row in rows:
-            out.write(
-                f"{row.n},{row.p},{row.gap},{str(row.starred).lower()},"
-                f"{row.margin},{round1(row.bound)}\n"
-            )
-    elif args.format == "jsonl":
-        for row in rows:
-            out.write(
-                json.dumps(
-                    {
-                        "n": row.n,
-                        "p": row.p,
-                        "gap": row.gap,
-                        "starred": row.starred,
-                        "margin": row.margin,
-                        "bound": float(round1(row.bound)),
-                    }
-                )
-                + "\n"
-            )
-    else:
-        out.write(f"{'n':>10} {'p':>12} {'gap':>7} {'margin':>9} {'bound':>14}\n")
-        for row in rows:
-            gap_text = f"{row.gap}{'*' if row.starred else ''}"
-            out.write(
-                f"{row.n:>10} {row.p:>12} {gap_text:>7} {row.margin:>9} {round1(row.bound):>14}\n"
-            )
+    # the printed bound, rounded half away from zero; its float's repr is the same string
+    cells = [(r.n, r.p, r.gap, r.starred, r.margin, float(round1(r.bound))) for r in rows]
+    table = [f"{'n':>10} {'p':>12} {'gap':>7} {'margin':>9} {'bound':>14}"]
+    for n, p, gap, starred, margin, bound in cells:
+        gap_text = f"{gap}{'*' if starred else ''}"
+        table.append(f"{n:>10} {p:>12} {gap_text:>7} {margin:>9} {bound:>14}")
+    names = ("n", "p", "gap", "starred", "margin", "bound")
+    _write_rows(sys.stdout, args.format, names, cells, table)
     problems = table1_mismatches(rows, args.max_prime)
     for problem in problems:
         print(f"mismatch: {problem}", file=sys.stderr)
@@ -263,21 +244,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     w = gap_witness(args.m)
-    if args.format == "csv":
-        sys.stdout.write("m,p,gap,gap_lower_bound\n")
-        sys.stdout.write(f"{w.m},{w.p},{w.gap},{w.gap_lower_bound}\n")
-    elif args.format == "jsonl":
-        sys.stdout.write(
-            json.dumps(
-                {"m": w.m, "p": w.p, "gap": w.gap, "gap_lower_bound": w.gap_lower_bound}
-            )
-            + "\n"
-        )
-    else:
-        sys.stdout.write(
-            f"m = {w.m}\np = {w.p}\ngap = {w.gap}\n"
-            f"gap >= {w.gap_lower_bound}: {str(w.gap >= w.gap_lower_bound).lower()}\n"
-        )
+    table = [f"m = {w.m}", f"p = {w.p}", f"gap = {w.gap}"]
+    table.append(f"gap >= {w.gap_lower_bound}: {str(w.gap >= w.gap_lower_bound).lower()}")
+    names = ("m", "p", "gap", "gap_lower_bound")
+    _write_rows(sys.stdout, args.format, names, [(w.m, w.p, w.gap, w.gap_lower_bound)], table)
     return EXIT_OK
 
 

@@ -25,6 +25,7 @@ from .sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     SegmentFeed,
+    _check_segment_size,
     is_prime_oracle,
     next_prime,
 )
@@ -156,7 +157,9 @@ class GapBlockStream:
         self._first_n = seed.next_n
         self._sieved_hi = seed.last_p + 1  # everything below this has been sieved
         self._gap_max = seed.gap_max
-        self._feed = SegmentFeed(self._sieved_hi, segment_size)
+        _check_segment_size(segment_size)
+        # every target p + n and successor lies below 2 * limit: a longer window is waste
+        self._feed = SegmentFeed(self._sieved_hi, min(segment_size, limit))
 
     @property
     def gap_max(self) -> int:

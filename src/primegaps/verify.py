@@ -339,14 +339,19 @@ class _Tally:
                        maximal=list(self.maximal))
 
 
+def _at_multiple(config: RunConfig, tally: _Tally) -> bool:
+    """Whether a checkpointed run's index sits on a multiple of its interval."""
+    return bool(config.checkpoint_path) and tally.last_n % config.checkpoint_interval == 0
+
+
 def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
-          at_multiple: Callable[[_Tally], None]):
+          after_block: Callable[[_Tally], None]):
     """Check every prime in (tally.last_p, limit], adding to `tally`.
 
     Sieving, checks and `sink` all run on the calling thread; `sink`
-    receives the rows config.emit selects.  With a checkpoint path
-    configured, blocks end on every multiple of the checkpoint interval, and
-    `at_multiple` is called with the tally each time the index reaches one.
+    receives the rows config.emit selects, and `after_block` the tally after
+    each block.  With a checkpoint path configured, blocks end on every
+    multiple of the checkpoint interval (see _at_multiple).
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
@@ -373,8 +378,7 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
                 for i in np.flatnonzero(emitted):
                     sink(block.record_at(int(i)))
         tally.last_n, tally.last_p, tally.gap_max = block.last_n, block.last_p, stream.gap_max
-        if config.checkpoint_path and tally.last_n % config.checkpoint_interval == 0:
-            at_multiple(tally)
+        after_block(tally)
 
 
 def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
@@ -409,7 +413,8 @@ def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, conn) -> 
 
         def keep(t: _Tally) -> None:
             nonlocal last
-            last = t.copy()
+            if _at_multiple(config, t):
+                last = t.copy()
 
         _scan(config, tally, hi, held.append if keep_rows else None, keep)
         conn.send((n0, tally, held, last))
@@ -418,6 +423,17 @@ def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, conn) -> 
         conn.send(ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}"))
     finally:
         os._exit(code)
+
+
+def _receive(conn):
+    """A shard child's result; raises the ShardError it sent, or one if it sent nothing."""
+    try:
+        got = conn.recv()
+    except EOFError:
+        raise ShardError("a shard process exited without its result") from None
+    if isinstance(got, ShardError):
+        raise got
+    return got
 
 
 def _merge(tally: _Tally, shard: _Tally, rows: list[GapRecord], emit: str, sink) -> None:
@@ -462,6 +478,9 @@ def run_verification(
     forked child, and its result is merged and its rows streamed in shard
     order, so output does not depend on the shard count.  A shard must start
     right after the index where the shards before it end (ShardError if not).
+    A child that fails stops a run without a checkpoint path at the end of
+    this process's next block; a checkpointed run first saves the work before
+    the failed shard, and raises when it reaches that shard.
 
     With a checkpoint path configured, this process writes the merged state
     each time the index of its own shard reaches a multiple of the checkpoint
@@ -485,6 +504,14 @@ def run_verification(
     def save(t: _Tally) -> None:  # looks write_checkpoint up per call; bench/tracer.py wraps it
         write_checkpoint(config.checkpoint_path, t.checkpoint(config.limit))
 
+    def after_block(t: _Tally) -> None:
+        if _at_multiple(config, t):
+            save(t)
+        if not config.checkpoint_path:  # no later work is saved: stop on a failed child now
+            for _, _, proc, conn in shards:
+                if proc.exitcode:  # its ShardError, or nothing if it died, is in the pipe
+                    _receive(conn)
+
     cuts = _shard_cuts(config, tally.last_p)
     shards = []
     try:
@@ -499,15 +526,9 @@ def run_verification(
                 proc.start()
                 shards.append((lo, hi, proc, conn))
                 child_end.close()
-        _scan(config, tally, cuts[1], sink, save)
+        _scan(config, tally, cuts[1], sink, after_block)
         for lo, hi, proc, conn in shards:
-            try:
-                got = conn.recv()
-            except EOFError:
-                raise ShardError("a shard process exited without its result") from None
-            if isinstance(got, ShardError):
-                raise got
-            n0, shard, rows, last = got
+            n0, shard, rows, last = _receive(conn)
             if tally.last_n != n0:
                 raise ShardError(
                     f"shard ({lo}, {hi}] starts after index {n0} "

@@ -75,7 +75,7 @@ def test_gaps_formats_carry_identical_data(capsys):
 def test_gaps_bad_limit_is_operational_error(capsys):
     code, _, err = run_cli(capsys, "gaps", "--limit", "2")
     assert code == EXIT_ERROR
-    assert "error:" in err
+    assert err == "error: limit must be >= 3, got 2\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "table"])
@@ -118,12 +118,16 @@ def test_usage_errors_exit_2():
 
 
 def test_pi(capsys):
-    code, out, _ = run_cli(capsys, "pi", "113")
-    assert code == EXIT_OK and out == "pi(113) = 30\n"
-    code, out, _ = run_cli(capsys, "pi", "1", "--format", "jsonl")
-    assert code == EXIT_OK and json.loads(out) == {"x": 1, "pi": 0}
-    code, out, _ = run_cli(capsys, "pi", "1000000", "--format", "csv")
-    assert code == EXIT_OK and out == "x,pi\n1000000,78498\n"
+    for x, fmt, expected in [
+        ("113", "table", "pi(113) = 30\n"),
+        ("1000000", "csv", "x,pi\n1000000,78498\n"),
+        ("1", "csv", "x,pi\n1,0\n"),
+        ("1", "jsonl", '{"x": 1, "pi": 0}\n'),
+        ("1", "table", "pi(1) = 0\n"),
+        ("1000000", "jsonl", '{"x": 1000000, "pi": 78498}\n'),
+        ("1000000", "table", "pi(1000000) = 78498\n"),
+    ]:
+        assert run_cli(capsys, "pi", x, "--format", fmt)[:2] == (EXIT_OK, expected)
     code, _, err = run_cli(capsys, "pi", "--", "-5")
     assert code == EXIT_ERROR and "error:" in err
 
@@ -402,7 +406,8 @@ def test_bounds_cli_golden(capsys, p):
 
 
 # sha256 of stdout for commands that print every margin or a few of them,
-# frozen before margins were computed on demand.
+# frozen before margins were computed on demand (the table1 entries and the
+# jsonl and table --maximal-only ones: before gaps and table1 shared one writer).
 MARGIN_GOLDEN = {
     ("gaps", "--limit", "100000", "--format", "csv"):
         "728b5ac27d3d6d1dadf7484b0b46b25f76cbf156f4c54c1c21a1a7fb56f02dc1",
@@ -412,6 +417,14 @@ MARGIN_GOLDEN = {
         "9720aac2c5e733cdd047c8d672ef5cf5d0b6c4bc441e752a5221959f02ca4b6a",
     ("gaps", "--maximal-only", "--limit", "1000000"):
         "ad94d981bc7638d3869df0bd7dbb295c2d757d236d51d5844f98be1fa6d12a09",
+    ("gaps", "--maximal-only", "--limit", "1000000", "--format", "jsonl"):
+        "b862cf2bf0523a545802bfd77939857cfa95f05ec6f507a03ed5a86ec5b083eb",
+    ("gaps", "--maximal-only", "--limit", "1000000", "--format", "table"):
+        "032909102cc398238ca2e85489c44f9c422ebca54b7b2f1904a67ccc2cc6a604",
+    ("table1", "--max-prime", "1000000", "--format", "jsonl"):
+        "d67b6d97d62fc23b9e216d0a00f027260bfb51a2d82273692d5951429f7e8321",
+    ("table1", "--max-prime", "1000000", "--format", "table"):
+        "654b9c88d1b014f404ba6fee97baac2931638def44e17b26bae6dc070453ace7",
     ("verify", "--limit", "200000", "--emit", "all", "--format", "csv"):
         "4e7cb8c69ab0997744c14b2860506bbfc42a4bf88d3532cd2fb94041f29c82f6",
 }
@@ -520,11 +533,15 @@ def test_table1_cli_resume_flag_requires_checkpoint(capsys):
 
 
 def test_witness_cli(capsys):
-    code, out, _ = run_cli(capsys, "witness", "4", "--format", "csv")
-    assert code == EXIT_OK
-    assert out == "m,p,gap,gap_lower_bound\n4,23,6,4\n"
-    code, out, _ = run_cli(capsys, "witness", "5", "--format", "jsonl")
-    assert json.loads(out) == {"m": 5, "p": 113, "gap": 14, "gap_lower_bound": 5}
+    for m, fmt, expected in [
+        ("4", "csv", "m,p,gap,gap_lower_bound\n4,23,6,4\n"),
+        ("5", "csv", "m,p,gap,gap_lower_bound\n5,113,14,5\n"),
+        ("5", "jsonl", '{"m": 5, "p": 113, "gap": 14, "gap_lower_bound": 5}\n'),
+        ("5", "table", "m = 5\np = 113\ngap = 14\ngap >= 5: true\n"),
+        ("4", "jsonl", '{"m": 4, "p": 23, "gap": 6, "gap_lower_bound": 4}\n'),
+        ("4", "table", "m = 4\np = 23\ngap = 6\ngap >= 4: true\n"),
+    ]:
+        assert run_cli(capsys, "witness", m, "--format", fmt)[:2] == (EXIT_OK, expected)
     code, _, err = run_cli(capsys, "witness", "2")
     assert code == EXIT_ERROR and "error:" in err
 

@@ -12,7 +12,7 @@ from primegaps.gaps import (
     gap_stream,
     gap_witness,
 )
-from primegaps.sieve import primes_up_to
+from primegaps.sieve import SegmentFeed, primes_up_to
 from primegaps.verify import maximal_gaps
 
 # (m, p, gap) for the factorial witness construction; gaps verified against
@@ -92,6 +92,22 @@ def test_limit_validation():
         list(gap_stream(-1))
     with pytest.raises(ValueError):
         GapBlockStream(100, cut_every=0)
+
+
+def test_window_never_outgrows_the_limit(monkeypatch):
+    # every target p + n and successor lies below 2 * limit, so a 2**26 window is waste
+    sieved = []
+    next_segment = SegmentFeed.next_segment
+
+    def counted(self):
+        lo, hi, primes = next_segment(self)
+        sieved.append(hi - lo)
+        return lo, hi, primes
+
+    monkeypatch.setattr(SegmentFeed, "next_segment", counted)
+    blocks = list(GapBlockStream(100, segment_size=2**26).blocks())
+    assert sum(len(b) for b in blocks) == 25
+    assert sum(sieved) <= 3 * 100
 
 
 def test_blocks_partition_indices_and_respect_cuts():

@@ -174,6 +174,28 @@ def test_child_that_raises_gives_one_error_line(capsys, shards, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_child_failure_stops_the_parent_before_its_shard_ends(shards, monkeypatch):
+    shards(2)
+    cut = cuts(AT_PRIME)[1]
+
+    def broken(x):
+        raise RuntimeError("no count today")
+
+    monkeypatch.setattr(verify, "prime_pi", broken)  # only shard children call it
+    seen = []
+
+    def slow(block):  # runs in the parent only: the child fails before its first block
+        seen.append(int(block.ps[-1]))
+        time.sleep(0.02)
+        return np.zeros(len(block), dtype=bool)
+
+    monkeypatch.setitem(CHECKS, "slow", CheckDef("slow", "test-only", 1, slow))
+    config = RunConfig(limit=AT_PRIME, checks=("theorem1", "slow"), segment_size=200)
+    with pytest.raises(verify.ShardError, match="RuntimeError: no count today"):
+        run_verification(config)
+    assert seen and max(seen) < cut
+
+
 @pytest.mark.parametrize("exc", [OSError, BrokenPipeError])
 @pytest.mark.parametrize("where", ["first shard", "later shard"])
 def test_no_child_is_left_after_a_sink_raises(shards, monkeypatch, exc, where):
