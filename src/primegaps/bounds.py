@@ -23,6 +23,10 @@ import numpy as np
 from .sieve import prime_count
 
 CHAIN_MIN_P = 60184  # chain stages valid for p strictly above this
+# Every gap bound is nondecreasing in integer x >= this: x / (log x - 1.1) is
+# least at 8 (8.168), (x + 1) / log x at 4, the others rise everywhere.  So a
+# gap that meets a bound at p >= 8 meets it at every later prime, as does a smaller one.
+GAP_BOUNDS_RISE_FROM = 8
 MARGINAL_RTOL = 1e-9
 _RECHECK_DPS = 50
 

@@ -227,12 +227,13 @@ class GapBlockStream:
         after = store[i0 + 1 : self._tail]
         lo = int(np.searchsorted(after, store[i0] + ns[0], side="right"))
         hi = int(np.searchsorted(after, store[i1 - 1] + ns[-1], side="right"))
-        running = np.maximum.accumulate(gaps)
-        prev = np.empty_like(running)
-        prev[0] = self._gap_max
-        np.maximum(running[:-1], self._gap_max, out=prev[1:])
-        is_maximal = gaps > prev
-        self._gap_max = max(self._gap_max, int(running[-1]))
+        # Only gaps above the record so far can set one; the first of them does.
+        is_maximal = gaps > self._gap_max
+        above = gaps[is_maximal]
+        if len(above):
+            running = np.maximum.accumulate(above)
+            is_maximal[np.flatnonzero(is_maximal)[1:]] = above[1:] > running[:-1]
+            self._gap_max = int(running[-1])
         self._head = i1
         return Block(ns, ps, gaps, is_maximal, window=after[lo:hi].copy(), lo=lo)
 

@@ -145,28 +145,35 @@ def prime_pi(x: int) -> int:
     each prime p <= sqrt(x) lowers S(v), for every v >= p*p, by
     S(v // p) - S(p - 1), the survivors in [p, v // p].  Afterwards
     S(x) = pi(x).  ``small[v]`` holds S(v) for v <= r = isqrt(x) and
-    ``large[i]`` holds S(x // i).  Independent of the segmented sieve.
+    ``large[i]`` holds S(x // i).  Once the primes up to isqrt(r) have
+    struck, small[v] = pi(v), so the primes in (isqrt(r), r] are read off
+    it and strike ``large`` alone.  Independent of the segmented sieve.
     """
     if x < 2:
         return 0
     if x > MAX_LIMIT:
         raise OverflowError(f"limit {x} exceeds supported maximum {MAX_LIMIT}")
-    r = math.isqrt(x)
+    r, s = math.isqrt(x), math.isqrt(math.isqrt(x))
+    q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
     small = np.arange(-1, r, dtype=np.int64)
-    large = np.empty(r + 1, dtype=np.int64)
-    large[1:] = x // np.arange(1, r + 1, dtype=np.int64) - 1
-    for p in range(2, r + 1):
-        if small[p] == small[p - 1]:
-            continue  # p was struck: composite
-        below, pp = int(small[p - 1]), p * p
+    large = np.concatenate(([0], q - 1))  # large[0] is unused
+
+    def strike_large(p: int) -> int:
         # large[i] for i <= x // p^2, i.e. x // i >= p^2.  For i*p <= r the
         # value S(x // (i*p)) sits in large, beyond that in small.
-        m = min(r, x // pp)
+        below, m = int(small[p - 1]), min(r, x // (p * p))
         k = min(m, r // p)
         large[1 : k + 1] -= large[p : k * p + 1 : p] - below
-        large[k + 1 : m + 1] -= small[x // (np.arange(k + 1, m + 1, dtype=np.int64) * p)] - below
-        if pp <= r:
-            small[pp:] -= small[np.arange(pp, r + 1, dtype=np.int64) // p] - below
+        large[k + 1 : m + 1] -= small[q[k:m] // p] - below
+        return below
+
+    for p in range(2, s + 1):
+        if small[p] == small[p - 1]:
+            continue  # p was struck: composite
+        below = strike_large(p)
+        small[p * p :] -= small[np.arange(p * p, r + 1, dtype=np.int64) // p] - below
+    for p in (s + 1 + np.flatnonzero(np.diff(small[s:]))).tolist():
+        strike_large(p)
     return int(large[1])
 
 

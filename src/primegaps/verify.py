@@ -51,10 +51,17 @@ class CheckDef:
 
 
 def _gap_check(b: bounds.Bound) -> CheckDef:
-    """The check of one gap bound: the rows where it applies and fails."""
+    """The check of one gap bound: the rows where it applies and fails.
+
+    A block from p0 >= GAP_BOUNDS_RISE_FROM whose largest gap meets the bound
+    at p0 has no such row, so rows are decided only when that point fails.
+    """
     first = b.first_index
 
     def violations(block: Block) -> np.ndarray:
+        p0, top = int(block.ps[0]), int(block.gaps.max())
+        if block.last_n < first or p0 >= bounds.GAP_BOUNDS_RISE_FROM and b.decide(p0, top)[0]:
+            return np.zeros(len(block), dtype=bool)
         fails = ~b.holds_many(block.ps, block.gaps)
         return fails & (block.ns >= first) if first > 1 else fails
 
@@ -358,7 +365,7 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
     stream = GapBlockStream(limit, config.segment_size, cut, seed)
     defs = [CHECKS[name] for name in config.checks]
     for block in stream.blocks():
-        violated = np.zeros(len(block), dtype=bool)
+        violated = np.zeros(len(block), dtype=bool) if config.emit == "violations" else None
         for cd in defs:
             hits = cd.violations(block)
             k = int(np.count_nonzero(hits))
@@ -366,7 +373,8 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
                 tally.counts[cd.name] += k
                 if cd.name not in tally.firsts:
                     tally.firsts[cd.name] = block.record_at(int(np.flatnonzero(hits)[0]))
-                violated |= hits
+                if violated is not None:
+                    violated |= hits
         for i in np.flatnonzero(block.is_maximal):
             tally.maximal.append(block.record_at(int(i)))
         if sink is not None:

@@ -142,6 +142,23 @@ def test_marginal_recheck_empirical():
     assert marginal and holds
 
 
+def test_gap_bounds_rise_from_the_block_threshold():
+    """Every gap bound is nondecreasing in p from GAP_BOUNDS_RISE_FROM on (what
+    lets a check decide a block at its first prime), and not from one below."""
+    import mpmath
+
+    rise = bounds.GAP_BOUNDS_RISE_FROM
+    far = sorted({int(x) for x in np.geomspace(10**4, 2**62, 200)})
+    with mpmath.workdps(50):
+        for b in bounds.GAP_BOUNDS:
+            value = lambda x: b.value(mpmath.mpf(x), bounds.MPMATH)
+            near = [value(x) for x in range(rise, 10**4 + 2)]
+            assert all(a <= c for a, c in zip(near, near[1:])), b.name
+            assert all(value(x) <= value(x + 1) for x in far), b.name
+    corollary1 = bounds.BOUNDS["corollary1"]
+    assert corollary1.at(rise - 1) > corollary1.at(rise) == pytest.approx(8.168, abs=1e-3)
+
+
 def test_proof_chain_at_first_valid_prime():
     p = 60209  # the first prime above 60184
     pi_p = prime_count(p)

@@ -170,13 +170,16 @@ def test_prime_pi_matches_prime_count_below_2000():
 
 
 def test_prime_pi_matches_sieve_counts():
-    # Around each square p^2 (p < 3000) the strike of p starts, and at 50
-    # seeded points up to 1e7; the reference counts come from the segmented
-    # sieve, which shares no code with prime_pi.
-    ref = primes_up_to(10**7)
+    # Around each square p^2 (p < 3000) the strike of p starts, around m^2
+    # isqrt(x) steps, around m^4 isqrt(isqrt(x)) steps (where prime_pi's two
+    # loops split), and at 50 seeded points up to 1e7; the reference counts
+    # come from the segmented sieve, which shares no code with prime_pi.
+    ref = primes_up_to(13_000_000)
     base = ref[ref < 3000].tolist()
     rng = np.random.default_rng(20)
     xs = [p * p + d for p in base for d in (-1, 0, 1)]
+    xs += [m**2 + d for m in range(2, 401) for d in (-1, 0, 1)]
+    xs += [m**4 + d for m in range(2, 61) for d in (-1, 0, 1)]
     xs += rng.integers(0, 10**7, size=50, endpoint=True).tolist()
     assert [prime_pi(x) for x in xs] == np.searchsorted(ref, xs, side="right").tolist()
     assert prime_pi(8_999_999) == prime_count(8_999_999)

@@ -131,6 +131,72 @@ def test_vectorized_checks_redecide_near_ties(monkeypatch):
     assert seen == [263101]
 
 
+def rows_block(ns, ps, gaps) -> Block:
+    """A block of the given rows, with an empty look-ahead window."""
+    arr = lambda v: np.asarray(v, dtype=np.int64)
+    return Block(arr(ns), arr(ps), arr(gaps), np.zeros(len(ns), dtype=bool), arr([]), lo=1)
+
+
+# (p, gap) pairs whose float bound lies within the marginal band of the gap
+NEAR_TIES = ((60017, 5455), (60017, 5456), (263101, 23118), (263101, 23119))
+
+
+@pytest.mark.parametrize("b", bounds.GAP_BOUNDS, ids=lambda b: b.name)
+def test_gap_checks_decide_blocks_as_their_rows(b):
+    # Seeded blocks of rising primes from 11 on, with gaps drawn around the
+    # bound at the first prime: some are decided at that prime and their
+    # largest gap, the others row by row.  Near ties come as later rows and as
+    # first rows.  Either way the verdict is that of every row on its own.
+    rng = np.random.default_rng(15)
+    check, first = CHECKS[b.name].violations, b.first_index
+    blocks = []
+    for _ in range(300):
+        size = int(rng.integers(1, 12))
+        p0 = int(np.exp(rng.uniform(np.log(11), np.log(10**7))))
+        ps = p0 + np.cumsum(np.r_[0, rng.integers(1, 200, size - 1)])
+        top = int(b.at(p0)) + int(rng.integers(-1, 2))
+        blocks.append((ps, np.maximum(1, top - rng.integers(0, 4, size))))
+    for p, gap in NEAR_TIES:
+        ps = 11 + np.cumsum(rng.integers(1, 200, 8))
+        blocks.append((np.r_[ps, p], np.r_[rng.integers(1, 9, 8), gap]))
+        ps = p + np.cumsum(np.r_[0, rng.integers(1, 200, 7)])
+        blocks.append((ps, np.r_[gap, gap - rng.integers(0, 4, 7)]))
+    decided = 0
+    for ps, gaps in blocks:
+        n0 = int(rng.integers(max(1, first - 10), first + 10))
+        ns = np.arange(n0, n0 + len(ps), dtype=np.int64)
+        expected = ~b.holds_many(ps, gaps) & (ns >= first)
+        assert check(rows_block(ns, ps, gaps)).tolist() == expected.tolist(), (ps, gaps, ns)
+        decided += b.decide(int(ps[0]), int(gaps.max()))[0]
+    assert 0 < decided < len(blocks)  # both ways of deciding a block are tried
+
+
+def test_gap_checks_decide_rows_of_a_block_that_starts_below_the_threshold():
+    # corollary1's bound is 9.815 at p = 5 but 8.275 at p = 7, so a gap of 9
+    # meets it at the block's first prime and fails it at the second.
+    block = rows_block([3, 4], [5, 7], [2, 9])
+    assert CHECKS["corollary1"].violations(block).tolist() == [False, True]
+
+
+def test_gap_checks_evaluate_rows_only_in_the_first_block(monkeypatch):
+    # Only the first block of a stream starts below GAP_BOUNDS_RISE_FROM; each
+    # later one is decided at its first prime without evaluating its rows.
+    calls = {b.name: 0 for b in bounds.GAP_BOUNDS}
+    holds_many = bounds.Bound.holds_many
+
+    def counted(self, xs, observed):
+        calls[self.name] += 1
+        return holds_many(self, xs, observed)
+
+    monkeypatch.setattr(bounds.Bound, "holds_many", counted)
+    count = 0
+    for count, block in enumerate(GapBlockStream(10**7).blocks(), 1):
+        for cd in CHECKS.values():
+            assert not cd.violations(block).any()
+    assert count > 2
+    assert max(calls.values()) <= 1, calls
+
+
 def test_theorem1_decides_on_the_gap_alone():
     # A one-row block with an empty window has margin lo.  Gap n puts the next
     # prime at p + n, inside (p, p + n]; gap n + 1 leaves that window empty.
