@@ -13,7 +13,7 @@ from .bounds import (
     proof_chain_check,
 )
 from .gaps import GapRecord, GapWitness, gap_stream, gap_witness
-from .sieve import is_prime_oracle, next_prime, prime_count, primes_up_to
+from .sieve import is_prime_oracle, next_prime, prime_pi, primes_up_to
 from .verify import (
     Checkpoint,
     CheckpointError,

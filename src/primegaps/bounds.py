@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 import mpmath
 import numpy as np
 
-from .sieve import prime_count
+from .sieve import prime_pi
 
 CHAIN_MIN_P = 60184  # chain stages valid for p strictly above this
 # Every gap bound is nondecreasing in integer x >= this: x / (log x - 1.1) is
@@ -77,7 +77,7 @@ class Bound:
     @cached_property
     def first_index(self) -> int:
         """Smallest prime index n the bound applies to."""
-        return max(self.min_index + 1, prime_count(self.min_x - 1) + 1)
+        return max(self.min_index + 1, prime_pi(self.min_x - 1) + 1)
 
     def at(self, x: int) -> float:
         """The bound's value at x, in floats."""

@@ -17,7 +17,7 @@ import sys
 
 from . import bounds
 from .gaps import GapRecord, gap_witness
-from .sieve import DEFAULT_SEGMENT_SIZE, is_prime_oracle, next_prime, prime_count, sieve_threads
+from .sieve import is_prime_oracle, next_prime, prime_pi, sieve_threads
 from .verify import (
     CHECKS,
     DEFAULT_CHECKPOINT_INTERVAL,
@@ -148,7 +148,7 @@ def _stream(config: RunConfig, fmt: str, start: Checkpoint | None = None) -> Ver
 def cmd_gaps(args: argparse.Namespace) -> int:
     # a theorem1 run: every row streams from one process, records from every shard
     emit = "maximal" if args.maximal_only else "all"
-    _stream(RunConfig(args.limit, ("theorem1",), args.segment_size, emit=emit), args.format)
+    _stream(RunConfig(args.limit, ("theorem1",), emit=emit), args.format)
     return EXIT_OK
 
 
@@ -165,7 +165,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     config = RunConfig(
         limit=args.limit,
         checks=_parse_checks(args.checks),
-        segment_size=args.segment_size,
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.interval,
         emit=args.emit,
@@ -180,7 +179,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_pi(args: argparse.Namespace) -> int:
     if args.x < 0:
         raise ValueError(f"pi expects a non-negative integer, got {args.x}")
-    value = prime_count(args.x, segment_size=args.segment_size)
+    value = prime_pi(args.x)
     table = [f"pi({args.x}) = {value}"]
     _write_rows(sys.stdout, args.format, ("x", "pi"), [(args.x, value)], table)
     return EXIT_OK
@@ -199,7 +198,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     p = args.p
     if p < 2 or not is_prime_oracle(p):
         raise ValueError(f"{p} is not a prime number")
-    n = prime_count(p, segment_size=args.segment_size)
+    n = prime_pi(p)
     gap = next_prime(p) - p
     rows = [_bound_row(b, n, p, gap, "p") for b in bounds.GAP_BOUNDS]
     rows += [_bound_row(b, n, p, n, "x") for b in bounds.COUNT_BOUNDS]
@@ -223,7 +222,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_table1(args: argparse.Namespace) -> int:
     config = table1_config(
         args.max_prime,
-        segment_size=args.segment_size,
         checkpoint_path=args.checkpoint,
         checkpoint_interval=args.interval,
     )
@@ -264,14 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, default: str = "table") -> None:
         p.add_argument("--format", choices=FORMATS, default=default, help="output format")
 
-    def add_segment_size(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--segment-size",
-            type=int,
-            default=DEFAULT_SEGMENT_SIZE,
-            help="sieve window length (default %(default)s)",
-        )
-
     def add_checkpoint(p: argparse.ArgumentParser) -> None:
         p.add_argument("--checkpoint", help="checkpoint file to write (and resume from)")
         p.add_argument(
@@ -288,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--maximal-only", action="store_true", help="emit only record (maximal) gaps"
     )
     add_format(p_gaps, "csv")
-    add_segment_size(p_gaps)
     p_gaps.set_defaults(func=cmd_gaps)
 
     p_verify = sub.add_parser("verify", help="run gap checks over all primes up to a limit")
@@ -306,19 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="which records to stream before the summary (default %(default)s)",
     )
     add_format(p_verify, "csv")
-    add_segment_size(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_pi = sub.add_parser("pi", help="exact prime count pi(x)")
     p_pi.add_argument("x", type=int)
     add_format(p_pi)
-    add_segment_size(p_pi)
     p_pi.set_defaults(func=cmd_pi)
 
     p_bounds = sub.add_parser("bounds", help="evaluate every bound at one prime")
     p_bounds.add_argument("p", type=int)
     add_format(p_bounds)
-    add_segment_size(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_table1 = sub.add_parser("table1", help="reproduce the embedded reference table")
@@ -330,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_checkpoint(p_table1)
     add_format(p_table1)
-    add_segment_size(p_table1)
     p_table1.set_defaults(func=cmd_table1)
 
     p_witness = sub.add_parser("witness", help="factorial construction of a gap >= m")

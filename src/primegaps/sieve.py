@@ -1,9 +1,9 @@
 """Segmented sieve of Eratosthenes over 64-bit ranges.
 
 Prime sequences are produced as ascending ``numpy`` arrays of dtype int64.
-A trial-division primality test (`is_prime_oracle`) is provided for spot
-checks and as an independent reference in tests; it shares no code with the
-sieve path.
+The prime count pi(x) is `prime_pi` (Lucy_Hedgehog's method), and a
+trial-division primality test (`is_prime_oracle`) serves spot checks; neither
+shares code with the sieve path.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -23,6 +22,11 @@ MAX_SEGMENT_SIZE = 1 << 30
 # Keep every intermediate quantity (including p + pi(p) look-ahead targets)
 # comfortably inside signed 64-bit arithmetic.
 MAX_LIMIT = 1 << 62
+
+# prime_pi holds about 3*sqrt(x) int64 counts plus temporaries of that size:
+# 152 MB at 1e13, so about 1.6 GB at this x.  It refuses any larger x before
+# allocating.
+PRIME_PI_MAX = 10**15
 
 THREADS_ENV_VAR = "PRIMEGAP_THREADS"
 
@@ -110,31 +114,22 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     return np.concatenate(([2], primes)) if lo == 2 else primes
 
 
-def _windows_up_to(limit: int, segment_size: int) -> Iterator[np.ndarray]:
-    """The primes of each window [lo, lo + segment_size) from 2, the last cut at limit."""
-    base = BasePrimes.up_to(_ceil_sqrt(limit))
-    for lo in range(2, limit + 1, segment_size):
-        yield sieve_segment(lo, min(lo + segment_size, limit + 1), base)
-
-
 def primes_up_to(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> np.ndarray:
-    """All primes <= limit, ascending. `limit` must be at least 2."""
+    """All primes <= limit, ascending, sieved in windows of `segment_size` from 2.
+
+    `limit` must be at least 2.  Tests use it as the sieve's reference count,
+    independent of `prime_pi`.
+    """
     if limit < 2:
         raise ValueError(f"limit must be >= 2 (no primes below 2), got {limit}")
     if limit > MAX_LIMIT:
         raise OverflowError(f"limit {limit} exceeds supported maximum {MAX_LIMIT}")
     _check_segment_size(segment_size)
-    return np.concatenate(list(_windows_up_to(limit, segment_size)))
-
-
-def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
-    """pi(limit): the number of primes <= limit (0 for limit < 2)."""
-    _check_segment_size(segment_size)
-    if limit < 2:
-        return 0
-    if limit > MAX_LIMIT:
-        raise OverflowError(f"limit {limit} exceeds supported maximum {MAX_LIMIT}")
-    return sum(map(len, _windows_up_to(limit, segment_size)))
+    base = BasePrimes.up_to(_ceil_sqrt(limit))
+    return np.concatenate([
+        sieve_segment(lo, min(lo + segment_size, limit + 1), base)
+        for lo in range(2, limit + 1, segment_size)
+    ])
 
 
 def prime_pi(x: int) -> int:
@@ -148,11 +143,12 @@ def prime_pi(x: int) -> int:
     ``large[i]`` holds S(x // i).  Once the primes up to isqrt(r) have
     struck, small[v] = pi(v), so the primes in (isqrt(r), r] are read off
     it and strike ``large`` alone.  Independent of the segmented sieve.
+    Raises OverflowError for x > PRIME_PI_MAX, before allocating anything.
     """
     if x < 2:
         return 0
-    if x > MAX_LIMIT:
-        raise OverflowError(f"limit {x} exceeds supported maximum {MAX_LIMIT}")
+    if x > PRIME_PI_MAX:
+        raise OverflowError(f"pi(x) is computed for x <= {PRIME_PI_MAX}, got {x}")
     r, s = math.isqrt(x), math.isqrt(math.isqrt(x))
     q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
     small = np.arange(-1, r, dtype=np.int64)

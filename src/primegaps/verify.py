@@ -569,10 +569,9 @@ def run_verification(
     )
 
 
-def maximal_gaps(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> list[GapRecord]:
+def maximal_gaps(limit: int) -> list[GapRecord]:
     """Record gaps up to `limit`: every prime whose gap exceeds all earlier gaps."""
-    config = RunConfig(limit, checks=("theorem1",), segment_size=segment_size)
-    return list(run_verification(config).maximal_records)
+    return list(run_verification(RunConfig(limit, checks=("theorem1",))).maximal_records)
 
 
 def _check_counters(ck: Checkpoint) -> None:
@@ -623,6 +622,7 @@ def check_resume(checkpoint: Checkpoint, config: RunConfig) -> None:
     checkpoint, and its limit must not lie below the checkpoint position.
     The counters must be consistent with a run to last_n, and last_p must be
     p_(last_n): the resumed stream numbers the primes after it from last_n + 1.
+    The stored records must be the stream's (see _check_records).
     """
     if checkpoint.version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
@@ -646,31 +646,50 @@ def check_resume(checkpoint: Checkpoint, config: RunConfig) -> None:
 
 
 def _check_records(ck: Checkpoint) -> None:
-    """Raise IncompatibleResumeError unless every stored record is the stream's.
+    """Raise IncompatibleResumeError unless the stored records are the stream's.
 
-    A record (n, p, gap, margin) needs p = p_n (prime, with pi(p) = n), p + gap
-    the next prime and margin = pi(p + n) - n, the primes in (p, p + n], all
-    found without the segmented sieve the stream uses.  It is flagged maximal
-    exactly when it is among the maximal records, and a first violation
-    violates its check.  p <= last_p bounds the work a forged record causes.
+    The maximal records with p <= min(last_p, TABLE1_LIMIT) must be the
+    starred TABLE1_REFERENCE rows in that range, as (n, p, gap, margin), so
+    a dropped, added or altered one is caught there.  A later record, and
+    every first violation, needs p = p_n (prime, with pi(p) = n), p + gap the
+    next prime and margin = pi(p + n) - n, the primes in (p, p + n], all
+    found without the segmented sieve; p <= last_p bounds the work a forged
+    one causes.  Every stored record is flagged maximal exactly when it is
+    among the maximal records, and a first violation violates its check.
     """
     record_ns = {r.n for r in ck.maximal_records}
+    cover = min(ck.last_p, TABLE1_LIMIT)
+    reference = {
+        GapRecord(n, p, gap, True, margin)
+        for n, p, gap, starred, margin, _ in TABLE1_REFERENCE
+        if starred and p <= cover
+    }
     stored = [("maximal record", r) for r in ck.maximal_records]
     stored += [(f"first violation of {name}", r) for name, r in ck.first_violations.items()]
     for what, r in stored:
         p, n = r.p, r.n
-        if not (
-            2 <= p <= ck.last_p
-            and is_prime_oracle(p)
-            and prime_pi(p) == n
-            and next_prime(p) - p == r.gap
-            and prime_pi(p + n) - n == r.theorem1_margin
-            and r.is_maximal == (n in record_ns)
-        ):
+        if what == "maximal record" and p <= cover:
+            ok = r in reference
+        else:
+            ok = (
+                2 <= p <= ck.last_p
+                and is_prime_oracle(p)
+                and prime_pi(p) == n
+                and next_prime(p) - p == r.gap
+                and prime_pi(p + n) - n == r.theorem1_margin
+            )
+        if not (ok and r.is_maximal == (n in record_ns)):
             raise IncompatibleResumeError(
                 f"checkpoint {what} n={n},p={p},gap={r.gap},margin={r.theorem1_margin} "
                 "does not match the prime stream"
             )
+    missing = reference.difference(ck.maximal_records)
+    if missing:
+        r = min(missing, key=lambda r: r.n)
+        raise IncompatibleResumeError(
+            f"checkpoint maximal record n={r.n},p={r.p},gap={r.gap},margin={r.theorem1_margin} "
+            "is missing"
+        )
     for name, r in ck.first_violations.items():
         cols = (np.array([v], dtype=np.int64) for v in (r.n, r.p, r.gap))
         block = Block(*cols, np.array([r.is_maximal]), np.empty(0, np.int64), r.theorem1_margin)
@@ -780,7 +799,6 @@ def round1(value: float) -> str:
 def table1_config(
     max_prime: int = TABLE1_LIMIT,
     *,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
     checkpoint_path: str | None = None,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
 ) -> RunConfig:
@@ -793,7 +811,6 @@ def table1_config(
     return RunConfig(
         limit=max_prime,
         checks=("theorem1",),
-        segment_size=segment_size,
         checkpoint_path=checkpoint_path,
         checkpoint_interval=checkpoint_interval,
     )

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from primegaps import bounds
-from primegaps.sieve import prime_count, primes_up_to
+from primegaps.sieve import primes_up_to
 
 # Expected values below were derived independently with 50-digit arithmetic
 # (mpmath), then frozen.
 
 
+def sieve_pi(x: int) -> int:
+    """pi(x) counted off the segmented sieve, independent of prime_pi."""
+    return int(np.searchsorted(primes_up_to(x), x, side="right"))
+
+
 def test_dusart_upper_values():
     assert bounds.dusart_upper(10**6) == pytest.approx(78644.1091328147, rel=1e-12)
     assert bounds.dusart_upper(60184) == pytest.approx(6076.023907797351, rel=1e-12)
-    assert prime_count(10**6) <= bounds.dusart_upper(10**6)
+    assert sieve_pi(10**6) <= bounds.dusart_upper(10**6)
     with pytest.raises(ValueError):
         bounds.dusart_upper(60183)
 
@@ -21,14 +26,14 @@ def test_dusart_upper_values():
 def test_dusart_lower_values():
     assert bounds.dusart_lower(10**6) == pytest.approx(78030.44564451973, rel=1e-12)
     assert bounds.dusart_lower(5393) == pytest.approx(710.2728172392235, rel=1e-12)
-    assert bounds.dusart_lower(5393) <= prime_count(5393) == 711
+    assert bounds.dusart_lower(5393) <= sieve_pi(5393) == 711
     with pytest.raises(ValueError):
         bounds.dusart_lower(5392)
 
 
 def test_dusart_sandwich_spot():
     for x in (60184, 10**5, 10**6):
-        pi_x = prime_count(x)
+        pi_x = sieve_pi(x)
         assert bounds.dusart_lower(x) <= pi_x <= bounds.dusart_upper(x)
 
 
@@ -161,7 +166,7 @@ def test_gap_bounds_rise_from_the_block_threshold():
 
 def test_proof_chain_at_first_valid_prime():
     p = 60209  # the first prime above 60184
-    pi_p = prime_count(p)
+    pi_p = sieve_pi(p)
     ps = primes_up_to(p + pi_p)
     n_p = int(np.searchsorted(ps, p + pi_p, side="right") - pi_p)
     stages = bounds.proof_chain_check(p, pi_p, n_p)
@@ -175,7 +180,7 @@ def test_proof_chain_at_first_valid_prime():
 
 
 def test_proof_chain_frozen_s4():
-    pi_p = prime_count(60217)
+    pi_p = sieve_pi(60217)
     ps = primes_up_to(60217 + pi_p)
     n_p = int(np.searchsorted(ps, 60217 + pi_p, side="right") - pi_p)
     stages = bounds.proof_chain_check(60217, pi_p, n_p)

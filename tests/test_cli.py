@@ -3,14 +3,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
-from primegaps import verify
+from primegaps import sieve, verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, EXIT_USAGE, FORMATS, main
 from primegaps.gaps import GapRecord
-from primegaps.sieve import MAX_SEGMENT_SIZE
 from primegaps.verify import (
     CHECKS,
     CheckDef,
@@ -84,8 +84,8 @@ def test_gaps_bad_limit_is_operational_error(capsys):
     [
         ["--limit", "2"],
         ["--limit", str(2**62 + 1)],
-        ["--limit", "100", "--segment-size", "0"],
-        ["--limit", "100", "--segment-size", str(MAX_SEGMENT_SIZE + 1)],
+        ["--limit", "-1"],
+        ["--limit", str(2**64)],
     ],
 )
 def test_gaps_bad_arguments_write_nothing_to_stdout(capsys, argv, fmt):
@@ -99,7 +99,7 @@ def test_gaps_bad_arguments_write_nothing_to_stdout(capsys, argv, fmt):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--limit", "100", "--segment-size", "0"],
+        ["--limit", "100", "--interval", "0"],
         ["--limit", str(2**62 + 1)],
     ],
 )
@@ -126,30 +126,39 @@ def test_pi(capsys):
         ("1", "table", "pi(1) = 0\n"),
         ("1000000", "jsonl", '{"x": 1000000, "pi": 78498}\n'),
         ("1000000", "table", "pi(1000000) = 78498\n"),
+        # Lucy's pi: well under a second, where sieving to x took minutes
+        ("100000000000", "csv", "x,pi\n100000000000,4118054813\n"),
+        ("100000000000", "jsonl", '{"x": 100000000000, "pi": 4118054813}\n'),
+        ("100000000000", "table", "pi(100000000000) = 4118054813\n"),
     ]:
         assert run_cli(capsys, "pi", x, "--format", fmt)[:2] == (EXIT_OK, expected)
-    code, _, err = run_cli(capsys, "pi", "--", "-5")
-    assert code == EXIT_ERROR and "error:" in err
 
 
-def test_bad_segment_size_is_operational_error(capsys):
+def test_bad_values_are_operational_errors(capsys):
     for argv in (
-        ["pi", "100", "--segment-size", "-5"],
-        ["bounds", "97", "--segment-size", "-1"],
-        ["pi", "100", "--segment-size", "0"],
-        *(
-            [*argv, "--segment-size", str(MAX_SEGMENT_SIZE + 1)]
-            for argv in (
-                ["gaps", "--limit", "100"],
-                ["verify", "--limit", "100"],
-                ["table1", "--max-prime", "100"],
-                ["pi", "100"],
-            )
-        ),
+        ["pi", "--", "-5"],
+        ["pi", str(sieve.PRIME_PI_MAX + 1)],  # refused before prime_pi allocates
+        ["bounds", "112"],
+        ["bounds", "1"],
+        ["table1", "--max-prime", "100", "--interval", "0"],
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_ERROR and out == ""
-        assert err.startswith("error: segment_size must be positive") and err.count("\n") == 1
+        for fmt in FORMATS:
+            t0 = time.perf_counter()
+            code, out, err = run_cli(capsys, argv[0], "--format", fmt, *argv[1:])
+            assert time.perf_counter() - t0 < 1
+            assert code == EXIT_ERROR and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_resume_past_the_pi_range_writes_nothing_to_stdout(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    assert read_checkpoint(path).last_p == 27_449
+    monkeypatch.setattr(sieve, "PRIME_PI_MAX", 27_448)
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR and out == ""
+    assert err == "error: pi(x) is computed for x <= 27448, got 27449\n"
 
 
 def test_verify_clean_run(capsys):
@@ -360,6 +369,13 @@ def test_bounds_cli(capsys):
     assert by_name["epsilon_1_13"]["holds"] is None
     code, _, err = run_cli(capsys, "bounds", "112")
     assert code == EXIT_ERROR and "not a prime" in err
+    for fmt, head in [
+        ("csv", "# p = 100000000003, n = 4118054814, gap = 16\n"),
+        ("jsonl", '{"p": 100000000003, "n": 4118054814, "gap": 16}\n'),
+        ("table", "p = 100000000003\nn = pi(p) = 4118054814\ngap = 16\n"),
+    ]:
+        code, out, _ = run_cli(capsys, "bounds", "100000000003", "--format", fmt)
+        assert code == EXIT_OK and out.startswith(head)
 
 
 # sha256 of `primegaps bounds P --format F` stdout, frozen from the release

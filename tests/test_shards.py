@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from primegaps import verify
+from primegaps import sieve, verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, RECORD_CSV_HEADER, main
 from primegaps.gaps import GapRecord
 from primegaps.sieve import is_prime_oracle
@@ -172,6 +172,17 @@ def test_child_that_raises_gives_one_error_line(capsys, shards, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: shard (29989, 59977] failed")
     assert "RuntimeError: no count today" in err and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_shard_start_past_the_pi_range_gives_one_error_line(capsys, shards, monkeypatch):
+    shards(2)
+    monkeypatch.setattr(sieve, "PRIME_PI_MAX", 29_988)  # the child counts pi(29 989)
+    code, out, err = cli_out(capsys, ["table1", "--max-prime", str(AT_PRIME)])
+    assert code == EXIT_ERROR and out == ""
+    assert err == (
+        "error: shard (29989, 59977] failed: OverflowError: "
+        "pi(x) is computed for x <= 29988, got 29989\n"
+    )
 
 
 def test_child_failure_stops_the_parent_before_its_shard_ends(shards, monkeypatch):

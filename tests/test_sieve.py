@@ -9,12 +9,12 @@ from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
     MAX_SEGMENT_SIZE,
+    PRIME_PI_MAX,
     SMALL_PRIME_CUTOFF,
     BasePrimes,
     SegmentFeed,
     is_prime_oracle,
     next_prime,
-    prime_count,
     prime_pi,
     primes_up_to,
     sieve_segment,
@@ -157,16 +157,14 @@ def test_base_primes_cover():
 
 
 def test_prime_count():
-    assert prime_count(0) == 0
-    assert prime_count(1) == 0
-    assert prime_count(2) == 1
-    assert prime_count(113) == 30
-    assert prime_count(5393) == 711
-    assert prime_count(1_000_000) == 78498
+    ref = primes_up_to(1_000_000)
+    for x, count in ((0, 0), (1, 0), (2, 1), (113, 30), (5393, 711), (1_000_000, 78498)):
+        assert prime_pi(x) == np.searchsorted(ref, x, side="right") == count
 
 
 def test_prime_pi_matches_prime_count_below_2000():
-    assert [prime_pi(x) for x in range(2001)] == [prime_count(x) for x in range(2001)]
+    counts = np.searchsorted(primes_up_to(2000), range(2001), side="right")
+    assert [prime_pi(x) for x in range(2001)] == counts.tolist()
 
 
 def test_prime_pi_matches_sieve_counts():
@@ -182,16 +180,16 @@ def test_prime_pi_matches_sieve_counts():
     xs += [m**4 + d for m in range(2, 61) for d in (-1, 0, 1)]
     xs += rng.integers(0, 10**7, size=50, endpoint=True).tolist()
     assert [prime_pi(x) for x in xs] == np.searchsorted(ref, xs, side="right").tolist()
-    assert prime_pi(8_999_999) == prime_count(8_999_999)
+    assert prime_pi(8_999_999) == np.searchsorted(ref, 8_999_999, side="right")
 
 
 def test_prime_pi_anchors_and_domain():
     assert prime_pi(436_273_009) == 23_163_298  # the last reference-table row
     assert prime_pi(10**9) == 50_847_534
-    assert prime_pi(-7) == prime_count(-7) == 0
-    for count in (prime_pi, prime_count):
-        with pytest.raises(OverflowError):
-            count(MAX_LIMIT + 1)
+    assert prime_pi(-7) == 0
+    for x in (PRIME_PI_MAX + 1, MAX_LIMIT + 1):  # refused before any O(sqrt(x)) array
+        with pytest.raises(OverflowError, match=f"x <= {PRIME_PI_MAX}, got {x}"):
+            prime_pi(x)
 
 
 def test_is_prime_oracle_basics():
@@ -275,7 +273,7 @@ def test_segment_size_cap():
         with pytest.raises(ValueError, match="segment_size"):
             SegmentFeed(segment_size=bad)
         with pytest.raises(ValueError, match="segment_size"):
-            prime_count(100, segment_size=bad)
+            primes_up_to(100, segment_size=bad)
 
 
 def test_sieve_threads_env(monkeypatch):

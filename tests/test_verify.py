@@ -5,10 +5,11 @@ import pytest
 
 from primegaps import bounds
 from primegaps.gaps import Block, GapBlockStream, GapRecord, _StreamSeed
-from primegaps.sieve import primes_up_to
+from primegaps.sieve import MAX_SEGMENT_SIZE, primes_up_to
 from primegaps.verify import (
     CHECKS,
     CHECKPOINT_VERSION,
+    TABLE1_REFERENCE,
     CheckDef,
     Checkpoint,
     CheckpointFormatError,
@@ -75,6 +76,9 @@ def test_config_validation():
         RunConfig(limit=10, checkpoint_interval=0)
     with pytest.raises(ValueError):
         RunConfig(limit=10, emit="sometimes")
+    for bad in (0, MAX_SEGMENT_SIZE + 1):
+        with pytest.raises(ValueError, match="segment_size"):
+            RunConfig(limit=10, segment_size=bad)
 
 
 def test_emit_modes():
@@ -456,6 +460,9 @@ def test_resume_validation(tmp_path):
     ):
         with pytest.raises(IncompatibleResumeError, match="maximal record n="):
             resume(dataclasses.replace(ck, maximal_records=records), t1)
+    # Dropping a record keeps the list rising, but the reference has every record to last_p.
+    with pytest.raises(IncompatibleResumeError, match="maximal record n=9,p=23,gap=6,margin=2 is"):
+        resume(dataclasses.replace(ck, maximal_records=m[:3] + m[4:]), t1)
     for first, match in (
         (GapRecord(20, 71, 30, False, 0), "first violation of theorem1 n=20"),  # gap is 2
         (GapRecord(20, 71, 2, False, 4), "n=20 does not violate"),  # the true record
@@ -465,6 +472,29 @@ def test_resume_validation(tmp_path):
         )
         with pytest.raises(IncompatibleResumeError, match=match):
             resume(forged, t1)
+
+
+def test_records_past_the_reference_are_checked_on_the_oracles():
+    # The first record past TABLE1_LIMIT (OEIS A002386), stored at its own index.
+    reference = [
+        GapRecord(n, p, gap, True, margin)
+        for n, p, gap, starred, margin, _ in TABLE1_REFERENCE
+        if starred
+    ]
+    past = GapRecord(64_955_634, 1_294_268_491, 288, True, 3_092_666)
+    limit = 2 * 10**9
+    ck = Checkpoint(
+        CHECKPOINT_VERSION, limit, past.n, past.p, past.gap, {"theorem1": 0}, {}, (*reference, past)
+    )
+    config = RunConfig(limit=limit, checks=("theorem1",))
+    check_resume(ck, config)
+    for forged in (dict(theorem1_margin=past.theorem1_margin + 1), dict(gap=290)):
+        record = dataclasses.replace(past, **forged)
+        forged_ck = dataclasses.replace(
+            ck, maximal_records=(*reference, record), gap_max=record.gap
+        )
+        with pytest.raises(IncompatibleResumeError, match="maximal record n=64955634"):
+            check_resume(forged_ck, config)
 
 
 def test_reproduce_table1_subset():
