@@ -196,9 +196,9 @@ def _bound_row(b: bounds.Bound, n: int, x: int, observed: int, var: str) -> tupl
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     p = args.p
+    n = prime_pi(p)  # refuses a p past PRIME_PI_MAX before the slower primality test
     if p < 2 or not is_prime_oracle(p):
         raise ValueError(f"{p} is not a prime number")
-    n = prime_pi(p)
     gap = next_prime(p) - p
     rows = [_bound_row(b, n, p, gap, "p") for b in bounds.GAP_BOUNDS]
     rows += [_bound_row(b, n, p, n, "x") for b in bounds.COUNT_BOUNDS]

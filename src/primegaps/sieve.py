@@ -3,7 +3,8 @@
 Prime sequences are produced as ascending ``numpy`` arrays of dtype int64.
 The prime count pi(x) is `prime_pi` (Lucy_Hedgehog's method), and a
 trial-division primality test (`is_prime_oracle`) serves spot checks; neither
-shares code with the sieve path.
+shares code with the sieve path.  `prime_pi_at` counts at many ascending
+targets: `prime_pi` at the first, the sieve past it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # A window holds one bool per odd integer, so this cap keeps it within 512 MiB.
 MAX_SEGMENT_SIZE = 1 << 30
 
-# Keep every intermediate quantity (including p + pi(p) look-ahead targets)
+# Keep every intermediate quantity (including margin targets p + pi(p))
 # comfortably inside signed 64-bit arithmetic.
 MAX_LIMIT = 1 << 62
 
@@ -171,6 +172,24 @@ def prime_pi(x: int) -> int:
     for p in (s + 1 + np.flatnonzero(np.diff(small[s:]))).tolist():
         strike_large(p)
     return int(large[1])
+
+
+def prime_pi_at(targets: np.ndarray) -> np.ndarray:
+    """pi(t) for each of the ascending int64 `targets`, as int64.
+
+    `prime_pi` counts up to the first target, and the span up to the last
+    is sieved one default window at a time.  Raises OverflowError for a
+    target past PRIME_PI_MAX.
+    """
+    first, last = int(targets[0]), int(targets[-1])
+    if last > PRIME_PI_MAX:
+        raise OverflowError(f"pi(x) is computed for x <= {PRIME_PI_MAX}, got {last}")
+    pis = np.full(len(targets), prime_pi(first), dtype=np.int64)
+    base = BasePrimes.up_to(max(2, _ceil_sqrt(last)))
+    for lo in range(first + 1, last + 1, DEFAULT_SEGMENT_SIZE):
+        primes = sieve_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE, last + 1), base)
+        pis += np.searchsorted(primes, targets, side="right")
+    return pis
 
 
 def is_prime_oracle(num: int) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds
 from .gaps import Block, GapBlockStream, GapRecord, _StreamSeed, gap_stream
 from .sieve import DEFAULT_SEGMENT_SIZE, MAX_LIMIT, _check_segment_size, is_prime_oracle
-from .sieve import next_prime, prime_pi, sieve_threads
+from .sieve import next_prime, prime_pi, prime_pi_at, sieve_threads
 
 CHECKPOINT_VERSION = 2
 DEFAULT_CHECKPOINT_INTERVAL = 1_000_000
@@ -196,8 +196,8 @@ class IncompatibleResumeError(CheckpointError):
 
 @dataclass(frozen=True, eq=False)
 class Checkpoint:
-    """Resumable position last_p = p_(last_n) and the counters up to it; a
-    resumed stream re-sieves its look-ahead (last_p, last_p + last_n]."""
+    """Resumable position last_p = p_(last_n) and the counters up to it, with
+    every stored margin settled; a resumed stream sieves on from last_p + 1."""
 
     version: int
     limit: int
@@ -359,34 +359,63 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
     receives the rows config.emit selects, and `after_block` the tally after
     each block.  With a checkpoint path configured, blocks end on every
     multiple of the checkpoint interval (see _at_multiple).
+
+    A stored or sunk row waits, in index order, for its margin pi(p + n) - n:
+    it is read off the first block whose successor passes p + n, or, at a
+    multiple of the interval and at the end, from prime_pi_at.  Under
+    emit="all", `sink` gets every row with block.margins.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
     stream = GapBlockStream(limit, config.segment_size, cut, seed)
     defs = [CHECKS[name] for name in config.checks]
+    claimed = set(tally.firsts)  # checks whose first violation is stored or waiting
+    waiting: list[tuple] = []  # (n, p, gap, is_maximal, to sink, first violation of)
+    settle_to_sink = sink is not None and config.emit != "all"
+
+    def settle(pis: np.ndarray) -> None:
+        """Pass on the first len(pis) waiting rows, given pi(p + n) for each."""
+        for (n, p, gap, is_maximal, emitted, names), pi in zip(waiting, pis.tolist()):
+            rec = GapRecord(n, p, gap, is_maximal, pi - n)
+            if is_maximal:
+                tally.maximal.append(rec)
+            for name in names:
+                tally.firsts[name] = rec
+            if emitted:
+                sink(rec)
+        del waiting[: len(pis)]
+
     for block in stream.blocks():
-        violated = np.zeros(len(block), dtype=bool) if config.emit == "violations" else None
+        violated = np.zeros(len(block), dtype=bool)
+        firsts: dict[int, list[str]] = {}
         for cd in defs:
             hits = cd.violations(block)
             k = int(np.count_nonzero(hits))
             if k:
                 tally.counts[cd.name] += k
-                if cd.name not in tally.firsts:
-                    tally.firsts[cd.name] = block.record_at(int(np.flatnonzero(hits)[0]))
-                if violated is not None:
-                    violated |= hits
-        for i in np.flatnonzero(block.is_maximal):
-            tally.maximal.append(block.record_at(int(i)))
-        if sink is not None:
-            if config.emit == "all":
-                for rec in block.iter_records():
-                    sink(rec)
-            else:
-                emitted = block.is_maximal if config.emit == "maximal" else violated
-                for i in np.flatnonzero(emitted):
-                    sink(block.record_at(int(i)))
+                if cd.name not in claimed:
+                    claimed.add(cd.name)
+                    firsts.setdefault(int(np.flatnonzero(hits)[0]), []).append(cd.name)
+                violated |= hits
+        if config.emit == "all" and sink is not None:
+            for rec in block.iter_records():
+                sink(rec)
+        emitted = (violated if config.emit == "violations" else block.is_maximal) & settle_to_sink
+        keep = block.is_maximal | emitted
+        keep[list(firsts)] = True
+        rows = np.flatnonzero(keep)
+        cols = (block.ns, block.ps, block.gaps, block.is_maximal, emitted)
+        waiting += zip(*(c[rows].tolist() for c in cols), [firsts.get(i, ()) for i in rows.tolist()])
+        ts = np.array([n + p for n, p, *_ in waiting], dtype=np.int64)
+        # the block holds every prime from p_(first_n) up to its successor
+        ready = int(np.searchsorted(ts, block.last_p + int(block.gaps[-1])))
+        settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
         tally.last_n, tally.last_p, tally.gap_max = block.last_n, block.last_p, stream.gap_max
+        if waiting and _at_multiple(config, tally):
+            settle(prime_pi_at(ts[ready:]))
         after_block(tally)
+    if waiting:
+        settle(prime_pi_at(ts[ready:]))
 
 
 def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
@@ -640,7 +669,7 @@ def check_resume(checkpoint: Checkpoint, config: RunConfig) -> None:
         )
     _check_counters(checkpoint)
     p, n = checkpoint.last_p, checkpoint.last_n
-    if p < 2 or not is_prime_oracle(p) or prime_pi(p) != n:
+    if p < 2 or prime_pi(p) != n or not is_prime_oracle(p):  # prime_pi refuses a huge p first
         raise IncompatibleResumeError(f"checkpoint last_p = {p} is not p_{n}, the last_n-th prime")
     _check_records(checkpoint)
 
@@ -692,7 +721,7 @@ def _check_records(ck: Checkpoint) -> None:
         )
     for name, r in ck.first_violations.items():
         cols = (np.array([v], dtype=np.int64) for v in (r.n, r.p, r.gap))
-        block = Block(*cols, np.array([r.is_maximal]), np.empty(0, np.int64), r.theorem1_margin)
+        block = Block(*cols, np.array([r.is_maximal]))
         if not CHECKS[name].violations(block)[0]:
             raise IncompatibleResumeError(
                 f"checkpoint first violation of {name} at n={r.n} does not violate it"

@@ -345,6 +345,67 @@ sha256 = 1d189ba7322501f6f2ac8115dd56ccd81d6438dfefe10a27f6ca51047023c7a1
 """
 
 
+# The checkpoint of `verify --limit 1400 --interval 220`: record n = 217 has
+# target 1327 + 217 = 1544, past p_220 = 1373 and its successor 1381, so its
+# margin is still waiting when the file is written.
+CHECKPOINT_AT_220 = """\
+format_version = 2
+limit = 1400
+last_n = 220
+last_p = 1373
+gap_max = 34
+violation_counts = bertrand:0,corollary1:0,empirical:0,theorem1:0
+first_violations = -
+maximal_records = 1:2:1:1:1;2:3:2:1:1;4:7:4:1:1;9:23:6:1:2;24:89:8:1:6;30:113:14:1:4;\
+99:523:18:1:15;154:887:20:1:21;189:1129:22:1:25;217:1327:34:1:26
+sha256 = 1e88186f55f1d18a2f12520b733a9c3bf5cf121580e66a2728aa117ca9e3a27d
+"""
+
+
+def test_record_waiting_at_a_checkpoint_multiple_is_settled_in_the_file(tmp_path, capsys):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "1400", "--checkpoint", str(path), "--interval", "220"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[10] == "217,1327,34,true,26"
+    assert path.read_text(encoding="utf-8") == CHECKPOINT_AT_220
+
+
+def test_record_waiting_at_the_end_of_the_range_is_settled(capsys):
+    # 1544 lies past 1361, the successor of the last prime <= 1327
+    code, out, _ = run_cli(capsys, "gaps", "--maximal-only", "--limit", "1327")
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "217,1327,34,true,26"
+
+
+def test_settling_past_the_pi_range_gives_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sieve, "PRIME_PI_MAX", 1500)
+    code, _, err = run_cli(capsys, "gaps", "--maximal-only", "--limit", "1327")
+    assert code == EXIT_ERROR
+    assert err == "error: pi(x) is computed for x <= 1500, got 1544\n"
+
+
+def test_bounds_refuses_a_prime_past_the_pi_range_at_once(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "bounds", str(10**15 + 37))  # prime: trial division is slow
+    assert time.perf_counter() - t0 < 0.2
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: pi(x) is computed for x <= {sieve.PRIME_PI_MAX}, got {10**15 + 37}\n"
+
+
+def test_resume_refuses_a_position_past_the_pi_range_at_once(tmp_path, capsys):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    write_checkpoint(path, dataclasses.replace(read_checkpoint(path), last_p=2**61 - 1))
+    argv[2] = str(2**62)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--resume")  # 2**61 - 1 is prime
+    assert time.perf_counter() - t0 < 1
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: pi(x) is computed for x <= {sieve.PRIME_PI_MAX}, got {2**61 - 1}\n"
+
+
 def test_verify_resume_refuses_version_1(tmp_path, capsys):
     path = tmp_path / "v1.ck"
     path.write_text(V1_CHECKPOINT)

@@ -95,7 +95,7 @@ def test_limit_validation():
 
 
 def test_window_never_outgrows_the_limit(monkeypatch):
-    # every target p + n and successor lies below 2 * limit, so a 2**26 window is waste
+    # the successor of the last prime <= limit lies below 2 * limit, so a 2**26 window is waste
     sieved = []
     next_segment = SegmentFeed.next_segment
 
@@ -108,6 +108,24 @@ def test_window_never_outgrows_the_limit(monkeypatch):
     blocks = list(GapBlockStream(100, segment_size=2**26).blocks())
     assert sum(len(b) for b in blocks) == 25
     assert sum(sieved) <= 3 * 100
+
+
+def test_stream_sieves_no_window_past_the_first_prime_beyond_the_limit(monkeypatch):
+    # A row leaves once its successor is sieved, so the stream stops in the
+    # window that holds next_prime(10**6) = 1 000 003.
+    ends = []
+    next_segment = SegmentFeed.next_segment
+
+    def counted(self):
+        lo, hi, primes = next_segment(self)
+        ends.append(hi)
+        return lo, hi, primes
+
+    monkeypatch.setattr(SegmentFeed, "next_segment", counted)
+    blocks = list(GapBlockStream(10**6, segment_size=1 << 16).blocks())
+    assert sum(len(b) for b in blocks) == 78_498
+    assert blocks[-1].last_p + int(blocks[-1].gaps[-1]) == 1_000_003
+    assert max(ends) <= 1_000_003 + (1 << 16)
 
 
 def test_blocks_partition_indices_and_respect_cuts():
@@ -163,8 +181,8 @@ def test_stream_segment_size_invariance(size):
 
 @pytest.mark.parametrize("seeded_at", [None, 700])
 def test_blocks_stay_valid_after_the_stream_moves_on(seeded_at):
-    # Build every block before reading any: with small segments the store is
-    # moved and reallocated many times, which must not change a held block.
+    # Build every block before reading any: with small segments the stream
+    # moves through many windows, which must not change a held block.
     limit = 60_000
     ref = primes_up_to(limit + 10_000)
     if seeded_at is None:

@@ -120,7 +120,7 @@ def test_vectorized_checks_redecide_near_ties(monkeypatch):
     # p = 60017 has empirical bound 5455.000000164... (gap 5455 is fine).
     def one_row_block(p: int, gap: int) -> Block:
         arr = lambda v: np.array([v], dtype=np.int64)
-        return Block(arr(10), arr(p), arr(gap), np.array([False]), window=arr(0)[:0], lo=1)
+        return Block(arr(10), arr(p), arr(gap), np.array([False]))
 
     corollary1, empirical = CHECKS["corollary1"].violations, CHECKS["empirical"].violations
     assert corollary1(one_row_block(263101, 23119)).tolist() == [True]
@@ -136,9 +136,9 @@ def test_vectorized_checks_redecide_near_ties(monkeypatch):
 
 
 def rows_block(ns, ps, gaps) -> Block:
-    """A block of the given rows, with an empty look-ahead window."""
+    """A block of the given rows, none of them a record."""
     arr = lambda v: np.asarray(v, dtype=np.int64)
-    return Block(arr(ns), arr(ps), arr(gaps), np.zeros(len(ns), dtype=bool), arr([]), lo=1)
+    return Block(arr(ns), arr(ps), arr(gaps), np.zeros(len(ns), dtype=bool))
 
 
 # (p, gap) pairs whose float bound lies within the marginal band of the gap
@@ -202,16 +202,17 @@ def test_gap_checks_evaluate_rows_only_in_the_first_block(monkeypatch):
 
 
 def test_theorem1_decides_on_the_gap_alone():
-    # A one-row block with an empty window has margin lo.  Gap n puts the next
-    # prime at p + n, inside (p, p + n]; gap n + 1 leaves that window empty.
+    # Gap n puts the next prime at p + n, inside (p, p + n]; gap n + 1 leaves
+    # that window empty.  The check reads the gap column only, so a one-row
+    # block needs no margin (the equivalence with margin < 1 is checked on
+    # real streams below).
     theorem1 = CHECKS["theorem1"].violations
     arr = lambda v: np.array([v], dtype=np.int64)
-    for gap, margin, violates in ((10, 1, False), (11, 0, True)):
-        block = Block(arr(10), arr(101), arr(gap), np.array([False]), window=arr(0)[:0], lo=margin)
-        assert block.margins.tolist() == [margin]
-        assert block.record_at(0).theorem1_margin == margin
+    for gap, violates in ((10, False), (11, True)):
+        block = Block(arr(10), arr(101), arr(gap), np.array([False]))
         assert theorem1(block).tolist() == [violates]
-        assert ((block.margins < 1) | (block.gaps > block.ns)).tolist() == [violates]
+        assert (block.gaps > block.ns).tolist() == [violates]
+        assert block._margins is None  # deciding it computed no margin
 
 
 @pytest.mark.parametrize("seeded_at", [None, 700])
