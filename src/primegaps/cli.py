@@ -12,6 +12,7 @@ Standard output carries data only; timing and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -85,29 +86,9 @@ def _record_json_obj(r: GapRecord) -> dict:
 
 def _write_summary(summary: VerificationSummary, fmt: str, out) -> None:
     if fmt == "jsonl":
-        obj = {
-            "summary": {
-                "limit": summary.limit,
-                "primes_processed": summary.primes_processed,
-                "last_prime": summary.last_prime,
-                "gap_max": summary.gap_max,
-                "checks": [
-                    {
-                        "name": cs.name,
-                        "applied": cs.applied,
-                        "violations": cs.violations,
-                        "first_violation": (
-                            None
-                            if cs.first_violation is None
-                            else _record_json_obj(cs.first_violation)
-                        ),
-                    }
-                    for cs in summary.checks
-                ],
-                "maximal_records": [_record_json_obj(r) for r in summary.maximal_records],
-            }
-        }
-        out.write(json.dumps(obj) + "\n")
+        obj = dataclasses.asdict(summary)
+        del obj["wall_time_s"]  # stdout stays deterministic
+        out.write(json.dumps({"summary": obj}) + "\n")
         return
     prefix = "# " if fmt == "csv" else ""
     for line in summary.canonical_lines():

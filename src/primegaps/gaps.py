@@ -101,14 +101,9 @@ class Block:
             self._margins = prime_pi_at(self.ps + self.ns) - self.ns
         return self._margins
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return self.ns, self.ps, self.gaps, self.is_maximal, self.margins
-
-    def record_at(self, i: int) -> GapRecord:
-        return GapRecord(*(col[i].item() for col in self._columns()))
-
     def iter_records(self) -> Iterator[GapRecord]:
-        yield from map(GapRecord, *(col.tolist() for col in self._columns()))
+        cols = self.ns, self.ps, self.gaps, self.is_maximal, self.margins
+        yield from map(GapRecord, *(col.tolist() for col in cols))
 
 
 class GapBlockStream:

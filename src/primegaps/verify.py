@@ -194,10 +194,12 @@ class IncompatibleResumeError(CheckpointError):
     """The checkpoint cannot seed a run with the given configuration."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Checkpoint:
-    """Resumable position last_p = p_(last_n) and the counters up to it, with
-    every stored margin settled; a resumed stream sieves on from last_p + 1."""
+    """Position last_p = p_(last_n) and what a run found up to it: the state a
+    run, or one shard of it, carries and adds to, and the contents of a
+    checkpoint file.  As written, every stored margin is settled; a resumed
+    stream sieves on from last_p + 1."""
 
     version: int
     limit: int
@@ -207,6 +209,11 @@ class Checkpoint:
     violation_counts: dict[str, int]
     first_violations: dict[str, GapRecord]
     maximal_records: tuple[GapRecord, ...]
+
+    def copy(self, **changes) -> Checkpoint:
+        """A copy that shares no dict with this one."""
+        return replace(self, violation_counts=dict(self.violation_counts),
+                       first_violations=dict(self.first_violations), **changes)
 
 
 def _format_record(r: GapRecord) -> str:
@@ -267,23 +274,16 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
         fields[key] = value
     try:
         version = int(fields["format_version"])
-    except KeyError as exc:
-        raise CheckpointFormatError(f"{path}: missing format_version") from exc
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(
+                f"{path}: format version {version} unsupported (expected {CHECKPOINT_VERSION})"
+            )
+        limit, last_n, last_p, gap_max = (
+            int(fields[key]) for key in ("limit", "last_n", "last_p", "gap_max")
         )
-    try:
-        limit = int(fields["limit"])
-        last_n = int(fields["last_n"])
-        last_p = int(fields["last_p"])
-        gap_max = int(fields["gap_max"])
         raw_counts = fields["violation_counts"]
         raw_firsts = fields["first_violations"]
         raw_maximal = fields["maximal_records"]
-    except KeyError as exc:
-        raise CheckpointFormatError(f"{path}: missing key {exc}") from exc
-    try:
         counts = {}
         if raw_counts != "-":
             for item in raw_counts.split(","):
@@ -299,18 +299,11 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
             if raw_maximal != "-"
             else ()
         )
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:
+        raise CheckpointFormatError(f"{path}: missing key {exc}") from exc
+    except ValueError as exc:
         raise CheckpointFormatError(f"{path}: unparseable field ({exc})") from exc
-    return Checkpoint(
-        version=version,
-        limit=limit,
-        last_n=last_n,
-        last_p=last_p,
-        gap_max=gap_max,
-        violation_counts=counts,
-        first_violations=firsts,
-        maximal_records=maximal,
-    )
+    return Checkpoint(version, limit, last_n, last_p, gap_max, counts, firsts, maximal)
 
 
 # --------------------------------------------------------------------------
@@ -324,39 +317,23 @@ class ShardError(RuntimeError):
     """A shard process of a run failed or exited without its result."""
 
 
-@dataclass(slots=True)
-class _Tally:
-    """What a run, or one shard of it, has found up to last_p = p_(last_n)."""
-
-    counts: dict[str, int]
-    firsts: dict[str, GapRecord]
-    maximal: list[GapRecord]
-    last_n: int
-    last_p: int
-    gap_max: int
-
-    def checkpoint(self, limit: int) -> Checkpoint:
-        return Checkpoint(
-            CHECKPOINT_VERSION, limit, self.last_n, self.last_p, self.gap_max,
-            dict(self.counts), dict(self.firsts), tuple(self.maximal),
-        )
-
-    def copy(self) -> _Tally:
-        return replace(self, counts=dict(self.counts), firsts=dict(self.firsts),
-                       maximal=list(self.maximal))
+def _fresh(config: RunConfig, last_n: int, last_p: int) -> Checkpoint:
+    """The state of a run, or of one shard of it, that starts after p_(last_n) = last_p."""
+    counts = dict.fromkeys(config.checks, 0)
+    return Checkpoint(CHECKPOINT_VERSION, config.limit, last_n, last_p, 0, counts, {}, ())
 
 
-def _at_multiple(config: RunConfig, tally: _Tally) -> bool:
+def _at_multiple(config: RunConfig, state: Checkpoint) -> bool:
     """Whether a checkpointed run's index sits on a multiple of its interval."""
-    return bool(config.checkpoint_path) and tally.last_n % config.checkpoint_interval == 0
+    return bool(config.checkpoint_path) and state.last_n % config.checkpoint_interval == 0
 
 
-def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
-          after_block: Callable[[_Tally], None]):
-    """Check every prime in (tally.last_p, limit], adding to `tally`.
+def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | None,
+          after_block: Callable[[Checkpoint], None]):
+    """Check every prime in (state.last_p, limit], adding to `state`.
 
     Sieving, checks and `sink` all run on the calling thread; `sink`
-    receives the rows config.emit selects, and `after_block` the tally after
+    receives the rows config.emit selects, and `after_block` the state after
     each block.  With a checkpoint path configured, blocks end on every
     multiple of the checkpoint interval (see _at_multiple).
 
@@ -366,10 +343,10 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
     emit="all", `sink` gets every row with block.margins.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
-    seed = _StreamSeed(tally.last_n + 1, tally.last_p, tally.gap_max)
+    seed = _StreamSeed(state.last_n + 1, state.last_p, state.gap_max)
     stream = GapBlockStream(limit, config.segment_size, cut, seed)
     defs = [CHECKS[name] for name in config.checks]
-    claimed = set(tally.firsts)  # checks whose first violation is stored or waiting
+    claimed = set(state.first_violations)  # checks whose first violation is stored or waiting
     waiting: list[tuple] = []  # (n, p, gap, is_maximal, to sink, first violation of)
     settle_to_sink = sink is not None and config.emit != "all"
 
@@ -378,9 +355,9 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
         for (n, p, gap, is_maximal, emitted, names), pi in zip(waiting, pis.tolist()):
             rec = GapRecord(n, p, gap, is_maximal, pi - n)
             if is_maximal:
-                tally.maximal.append(rec)
+                state.maximal_records += (rec,)
             for name in names:
-                tally.firsts[name] = rec
+                state.first_violations[name] = rec
             if emitted:
                 sink(rec)
         del waiting[: len(pis)]
@@ -392,7 +369,7 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
             hits = cd.violations(block)
             k = int(np.count_nonzero(hits))
             if k:
-                tally.counts[cd.name] += k
+                state.violation_counts[cd.name] += k
                 if cd.name not in claimed:
                     claimed.add(cd.name)
                     firsts.setdefault(int(np.flatnonzero(hits)[0]), []).append(cd.name)
@@ -410,10 +387,10 @@ def _scan(config: RunConfig, tally: _Tally, limit: int, sink: RecordSink | None,
         # the block holds every prime from p_(first_n) up to its successor
         ready = int(np.searchsorted(ts, block.last_p + int(block.gaps[-1])))
         settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
-        tally.last_n, tally.last_p, tally.gap_max = block.last_n, block.last_p, stream.gap_max
-        if waiting and _at_multiple(config, tally):
+        state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, stream.gap_max
+        if waiting and _at_multiple(config, state):
             settle(prime_pi_at(ts[ready:]))
-        after_block(tally)
+        after_block(state)
     if waiting:
         settle(prime_pi_at(ts[ready:]))
 
@@ -436,25 +413,25 @@ def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, conn) -> 
     """Run shard (lo, hi] in a forked child and send its result or a ShardError.
 
     The shard starts after index n0 = pi(lo) with zero counters, so its
-    records are local ones.  The result is (n0, tally, rows, last), where
-    last is a copy of the tally at the shard's last multiple of the
+    records are local ones.  The result is (n0, state, rows, last), where
+    last is a copy of the state at the shard's last multiple of the
     checkpoint interval (None without one).  The child leaves by os._exit: it
     never flushes the stdout buffers it inherited.
     """
     code = 1
     try:
         n0 = prime_pi(lo)
-        tally = _Tally(dict.fromkeys(config.checks, 0), {}, [], n0, lo, 0)
+        state = _fresh(config, n0, lo)
         held: list[GapRecord] = []
         last = None
 
-        def keep(t: _Tally) -> None:
+        def keep(s: Checkpoint) -> None:
             nonlocal last
-            if _at_multiple(config, t):
-                last = t.copy()
+            if _at_multiple(config, s):
+                last = s.copy()
 
-        _scan(config, tally, hi, held.append if keep_rows else None, keep)
-        conn.send((n0, tally, held, last))
+        _scan(config, state, hi, held.append if keep_rows else None, keep)
+        conn.send((n0, state, held, last))
         code = 0
     except Exception as exc:
         conn.send(ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}"))
@@ -473,30 +450,30 @@ def _receive(conn):
     return got
 
 
-def _merge(tally: _Tally, shard: _Tally, rows: list[GapRecord], emit: str, sink) -> None:
-    """Add a later shard to the tally of the shards before it.
+def _merge(state: Checkpoint, shard: Checkpoint, rows: list[GapRecord], emit: str, sink) -> None:
+    """Add a later shard's state to the state of the shards before it.
 
     Counts add and earlier first violations win.  A local record stays one
     only if its gap beats every gap before the shard; every other row of the
     shard loses its record flag.  Rows go to `sink` (under emit="maximal",
     only the records that stay).
     """
-    kept = {r.n for r in shard.maximal if r.gap > tally.gap_max}
+    kept = {r.n for r in shard.maximal_records if r.gap > state.gap_max}
 
     def flagged(r: GapRecord) -> GapRecord:
         return r if r.n in kept or not r.is_maximal else replace(r, is_maximal=False)
 
-    for name, count in shard.counts.items():
-        tally.counts[name] += count
-    for name, r in shard.firsts.items():
-        tally.firsts.setdefault(name, flagged(r))
-    tally.maximal += [r for r in shard.maximal if r.n in kept]
+    for name, count in shard.violation_counts.items():
+        state.violation_counts[name] += count
+    for name, r in shard.first_violations.items():
+        state.first_violations.setdefault(name, flagged(r))
+    state.maximal_records += tuple(r for r in shard.maximal_records if r.n in kept)
     for r in map(flagged, rows):
         if emit == "violations" or r.is_maximal:
             sink(r)
     # a shard spans at least _MIN_SHARD integers, so it holds primes
-    tally.last_n, tally.last_p = shard.last_n, shard.last_p
-    tally.gap_max = max(tally.gap_max, shard.gap_max)
+    state.last_n, state.last_p = shard.last_n, shard.last_p
+    state.gap_max = max(state.gap_max, shard.gap_max)
 
 
 def run_verification(
@@ -507,8 +484,9 @@ def run_verification(
     """Run the configured checks over every prime p_n <= config.limit.
 
     The run starts at n = 1, or after `start`, a checkpoint that passed
-    `check_resume`.  Violations are counted (and streamed to `sink` under
-    emit="violations"), never raised.
+    `check_resume`; the run adds to a copy, so `start` is left as it was.
+    Violations are counted (and streamed to `sink` under emit="violations"),
+    never raised.
 
     The range is cut into shards (see _shard_cuts).  This process runs the
     first and streams its rows as they come; each later shard runs in a
@@ -526,30 +504,17 @@ def run_verification(
     at the same index.
     """
     t0 = time.perf_counter()
-    if start is None:
-        tally = _Tally(dict.fromkeys(config.checks, 0), {}, [], 0, 1, 0)
-    else:
-        tally = _Tally(
-            {name: start.violation_counts[name] for name in config.checks},
-            dict(start.first_violations),
-            list(start.maximal_records),
-            start.last_n,
-            start.last_p,
-            start.gap_max,
-        )
+    state = _fresh(config, 0, 1) if start is None else start.copy(limit=config.limit)
 
-    def save(t: _Tally) -> None:  # looks write_checkpoint up per call; bench/tracer.py wraps it
-        write_checkpoint(config.checkpoint_path, t.checkpoint(config.limit))
-
-    def after_block(t: _Tally) -> None:
-        if _at_multiple(config, t):
-            save(t)
+    def after_block(s: Checkpoint) -> None:
+        if _at_multiple(config, s):
+            write_checkpoint(config.checkpoint_path, s)
         if not config.checkpoint_path:  # no later work is saved: stop on a failed child now
             for _, _, proc, conn in shards:
                 if proc.exitcode:  # its ShardError, or nothing if it died, is in the pipe
                     _receive(conn)
 
-    cuts = _shard_cuts(config, tally.last_p)
+    cuts = _shard_cuts(config, state.last_p)
     shards = []
     try:
         if len(cuts) > 2:
@@ -563,37 +528,37 @@ def run_verification(
                 proc.start()
                 shards.append((lo, hi, proc, conn))
                 child_end.close()
-        _scan(config, tally, cuts[1], sink, after_block)
+        _scan(config, state, cuts[1], sink, after_block)
         for lo, hi, proc, conn in shards:
             n0, shard, rows, last = _receive(conn)
-            if tally.last_n != n0:
+            if state.last_n != n0:
                 raise ShardError(
                     f"shard ({lo}, {hi}] starts after index {n0} "
-                    f"but the shards before it end at index {tally.last_n}"
+                    f"but the shards before it end at index {state.last_n}"
                 )
             if last is not None:
-                at_last = tally.copy()
+                at_last = state.copy()
                 _merge(at_last, last, [], config.emit, sink)
-                save(at_last)
-            _merge(tally, shard, rows, config.emit, sink)
+                write_checkpoint(config.checkpoint_path, at_last)
+            _merge(state, shard, rows, config.emit, sink)
     finally:
         for _, _, proc, conn in shards:
             conn.close()
             if proc.is_alive():
                 proc.terminate()
             proc.join()
-    n, counts, firsts = tally.last_n, tally.counts, tally.firsts
+    counts, firsts = state.violation_counts, state.first_violations
     stats = tuple(
-        CheckStats(name, CHECKS[name].applied_count(n), counts[name], firsts.get(name))
+        CheckStats(name, CHECKS[name].applied_count(state.last_n), counts[name], firsts.get(name))
         for name in config.checks
     )
     return VerificationSummary(
         limit=config.limit,
-        primes_processed=tally.last_n,
-        last_prime=tally.last_p,
-        gap_max=tally.gap_max,
+        primes_processed=state.last_n,
+        last_prime=state.last_p,
+        gap_max=state.gap_max,
         checks=stats,
-        maximal_records=tuple(tally.maximal),
+        maximal_records=state.maximal_records,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -852,7 +817,7 @@ def table1_rows(summary: VerificationSummary) -> list[Table1Row]:
     checkpoint's; rows n <= 30 are recomputed on one small window.
     """
     cover = min(_SMALL_ROW_COVER, summary.limit)
-    small = [rec for rec in gap_stream(cover, segment_size=cover) if rec.n <= 30]
+    small = [rec for rec in gap_stream(cover) if rec.n <= 30]
     rows = {}
     for r in (*small, *summary.maximal_records):
         bound = bounds.empirical_bound(r.p)

@@ -406,6 +406,17 @@ def test_resume_refuses_a_position_past_the_pi_range_at_once(tmp_path, capsys):
     assert err == f"error: pi(x) is computed for x <= {sieve.PRIME_PI_MAX}, got {2**61 - 1}\n"
 
 
+@pytest.mark.parametrize("field", ["version", "limit", "last_n", "last_p", "gap_max"])
+def test_resume_refuses_a_non_integer_field_with_the_file_name(tmp_path, capsys, field):
+    path = tmp_path / "run.ck"
+    argv = ["verify", "--limit", "30000", "--checkpoint", str(path), "--interval", "3000"]
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    write_checkpoint(path, dataclasses.replace(read_checkpoint(path), **{field: "1e3"}))
+    code, out, err = run_cli(capsys, *argv, "--resume")
+    assert code == EXIT_ERROR and out == ""
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
 def test_verify_resume_refuses_version_1(tmp_path, capsys):
     path = tmp_path / "v1.ck"
     path.write_text(V1_CHECKPOINT)
@@ -512,6 +523,34 @@ def test_margin_output_golden(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == MARGIN_GOLDEN[argv]
+
+
+ALL_CHECKS = "theorem1,bertrand,corollary1,empirical,andrica,epsilon_1_5,epsilon_1_13,epsilon_1_16597"
+# exit code and sha256 of stdout for jsonl summaries, frozen before the summary
+# object was written from the dataclasses' fields; always_fails is the
+# test-only check of test_verify_finding_exit_code.
+SUMMARY_GOLDEN = {
+    ("verify", "--limit", "200000", "--format", "jsonl"):
+        (EXIT_OK, "4bb7627457a20ec11ef53e2d42a6bad94593f3f65980769af21eba8f8c71ab3c"),
+    ("verify", "--limit", "200000", "--checks", ALL_CHECKS, "--format", "jsonl"):
+        (EXIT_OK, "7c96cc705615e39ae0ea07c4c922167b23e9a0b911f4f4d610f5c0d237d283a5"),
+    ("verify", "--limit", "100", "--checks", "theorem1,always_fails", "--format", "jsonl"):
+        (EXIT_FINDING, "e53f4c37c3603446762fa9dc4e4203facc30244deae47c142d33677d3acfa3fa"),
+    ("verify", "--limit", "100", "--checks", "theorem1,always_fails", "--emit", "violations",
+     "--format", "jsonl"):
+        (EXIT_FINDING, "4368cfe0de253b2b472bb496b6ec8ba741d8272ad3532d6273f6faff5aa4f94a"),
+}
+
+
+@pytest.mark.parametrize("argv", list(SUMMARY_GOLDEN), ids="_".join)
+def test_jsonl_summary_golden(monkeypatch, capsys, argv):
+    monkeypatch.setitem(
+        CHECKS,
+        "always_fails",
+        CheckDef("always_fails", "test-only", 1, lambda b: np.ones(len(b), dtype=bool)),
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == SUMMARY_GOLDEN[argv]
 
 
 def test_table1_cli_subset(capsys):

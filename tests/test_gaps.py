@@ -192,12 +192,12 @@ def test_blocks_stay_valid_after_the_stream_moves_on(seeded_at):
         seed = _StreamSeed(next_n=seeded_at + 1, last_p=int(ref[seeded_at - 1]), gap_max=gap_max)
         first = seeded_at
     blocks = list(GapBlockStream(limit, segment_size=1 << 10, seed=seed).blocks())
-    # Single rows are read before the whole array on even blocks and after it
-    # on odd ones, so neither way of computing a margin hides behind the other.
+    # Records are read before the margin array on even blocks and after it on
+    # odd ones, so the array a block caches is the same whichever reads it first.
     for k, b in enumerate(blocks):
         if k % 2:
             assert len(b.margins) == len(b)  # computes and caches the array
-        assert [b.record_at(i).theorem1_margin for i in range(len(b))] == b.margins.tolist()
+        assert [r.theorem1_margin for r in b.iter_records()] == b.margins.tolist()
     ps = np.concatenate([b.ps for b in blocks])
     gaps = np.concatenate([b.gaps for b in blocks])
     margins = np.concatenate([b.margins for b in blocks])

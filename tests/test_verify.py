@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -295,6 +296,16 @@ def test_checkpoint_garbage_rejected(tmp_path):
         read_checkpoint(path)
 
 
+@pytest.mark.parametrize("field", ["version", "limit", "last_n", "last_p", "gap_max"])
+def test_checkpoint_non_integer_field_is_a_format_error(tmp_path, field):
+    path = tmp_path / "run.ck"
+    ck = Checkpoint(CHECKPOINT_VERSION, 1000, 25, 97, 8, {"theorem1": 0}, {}, ())
+    write_checkpoint(path, dataclasses.replace(ck, **{field: "1e3"}))  # hash recomputed
+    with pytest.raises(CheckpointFormatError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
 def test_checkpoint_version_gate(tmp_path):
     path = tmp_path / "future.ck"
     write_checkpoint(
@@ -381,6 +392,18 @@ def test_resume_to_larger_limit(tmp_path):
     resumed = resume(ck, extended)
     fresh = run_verification(RunConfig(limit=2000, checks=("theorem1",)))
     assert resumed.canonical_lines() == fresh.canonical_lines()
+
+
+def test_resume_leaves_the_start_checkpoint_unchanged(tmp_path, monkeypatch):
+    monkeypatch.setitem(CHECKS, "late", CheckDef("late", "test-only", 1, lambda b: b.ns > 150))
+    path = tmp_path / "run.ck"
+    checks = ("theorem1", "late")
+    run_verification(RunConfig(1000, checks, checkpoint_path=str(path), checkpoint_interval=100))
+    ck = read_checkpoint(path)
+    before = copy.deepcopy(vars(ck))
+    resumed = resume(ck, RunConfig(2000, checks))
+    assert vars(ck) == before
+    assert [(cs.name, cs.violations) for cs in resumed.checks] == [("theorem1", 0), ("late", 153)]
 
 
 def test_resume_validation(tmp_path):
