@@ -8,7 +8,9 @@ that margin is at least 1, so checks decide it on the gap alone.
 
 The engine is block-oriented: each window from the sieve, plus the last
 prime of the window before it, yields the rows whose successor it holds.
-The stream keeps no primes beyond that window, so a block's margins are
+A block is read off the window's composite flags (row count, ends, record
+gaps), and its columns are built only when something reads them.  The
+stream keeps no primes beyond that window, so a block's margins are
 computed on demand (`Block.margins`, by `prime_pi_at`), and a verification
 run reads the few it stores where its stream passes p + n.  `gap_stream`
 flattens blocks into per-prime records.
@@ -17,7 +19,7 @@ flattens blocks into per-prime records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -27,6 +29,7 @@ from .sieve import (
     MAX_LIMIT,
     SegmentFeed,
     _check_segment_size,
+    flag_primes,
     is_prime_oracle,
     next_prime,
     prime_pi_at,
@@ -68,42 +71,120 @@ class _StreamSeed:
     gap_max: int = 0
 
 
-@dataclass(eq=False, slots=True)
 class Block:
-    """A contiguous run of emitted indices with parallel int64 arrays."""
+    """A contiguous run of indices first_n..last_n: for each, the prime p_n,
+    the gap to p_(n+1) and the record flag.
 
-    ns: np.ndarray
-    ps: np.ndarray
-    gaps: np.ndarray
-    is_maximal: np.ndarray
-    _margins: np.ndarray | None = field(default=None, init=False, repr=False)
+    A block always knows its ends (next_p = p_(last_n + 1) closes the last
+    gap), its record rows `records` as (n, p, gap), and `gap_bound`, which
+    no gap of the block exceeds.  The stream builds the columns ns, ps, gaps
+    and is_maximal only when one is read, and `margins` likewise;
+    `Block(ns, ps, gaps, is_maximal)` makes a block of given columns.
+    """
+
+    __slots__ = ("first_n", "last_n", "first_p", "last_p", "next_p", "gap_bound", "records",
+                 "_source", "_columns", "_margins")
+
+    def __init__(self, ns, ps, gaps, is_maximal) -> None:
+        rows = np.flatnonzero(is_maximal)
+        records = zip(ns[rows].tolist(), ps[rows].tolist(), gaps[rows].tolist())
+        self._set(int(ns[0]), int(ns[-1]), int(ps[0]), int(ps[-1]), int(ps[-1] + gaps[-1]),
+                  int(gaps.max()), list(records))
+        self._source, self._columns = None, (ns, ps, gaps, is_maximal)
+
+    @classmethod
+    def _of_window(cls, ends, gap_bound, records, pending, first, flags) -> Block:
+        """The rows of a window's primes: `pending`, if not None, then the odd
+        primes first + 2k that `flags` leaves clear, the last of them closing
+        the last gap; `ends` is (first_n, last_n, first_p, last_p, next_p)."""
+        block = cls.__new__(cls)
+        block._set(*ends, gap_bound, records)
+        block._source, block._columns = (pending, first, flags), None
+        return block
+
+    def _set(self, first_n, last_n, first_p, last_p, next_p, gap_bound, records) -> None:
+        self.first_n, self.last_n, self.first_p, self.last_p = first_n, last_n, first_p, last_p
+        self.next_p, self.gap_bound, self.records = next_p, gap_bound, records
+        self._margins = None
+
+    def _cols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        if self._columns is None:
+            pending, first, flags = self._source
+            run = flag_primes(first, flags)
+            if pending is not None:
+                run = np.concatenate(([pending], run))
+            is_maximal = np.zeros(len(self), dtype=bool)
+            is_maximal[[n - self.first_n for n, _, _ in self.records]] = True
+            ns = np.arange(self.first_n, self.last_n + 1, dtype=np.int64)
+            self._columns = ns, run[:-1], np.diff(run), is_maximal
+        return self._columns
+
+    ns = property(lambda self: self._cols()[0])
+    ps = property(lambda self: self._cols()[1])
+    gaps = property(lambda self: self._cols()[2])
+    is_maximal = property(lambda self: self._cols()[3])
 
     def __len__(self) -> int:
-        return len(self.ns)
-
-    @property
-    def first_n(self) -> int:
-        return int(self.ns[0])
-
-    @property
-    def last_n(self) -> int:
-        return int(self.ns[-1])
-
-    @property
-    def last_p(self) -> int:
-        return int(self.ps[-1])
+        return self.last_n - self.first_n + 1
 
     @property
     def margins(self) -> np.ndarray:
         """pi(p_i + n_i) - n_i for every row, computed once on first access (each
         target p_i + n_i must be at most sieve.PRIME_PI_MAX)."""
+        return self.margins_from(None)
+
+    def margins_from(self, known: tuple[int, int] | None) -> np.ndarray:
+        """`margins`, counted from `known` = (t, pi(t)) for a t at most the
+        first target p_(first_n) + first_n when it is given (see prime_pi_at)."""
         if self._margins is None:
-            self._margins = prime_pi_at(self.ps + self.ns) - self.ns
+            self._margins = prime_pi_at(self.ps + self.ns, known) - self.ns
         return self._margins
 
     def iter_records(self) -> Iterator[GapRecord]:
         cols = self.ns, self.ps, self.gaps, self.is_maximal, self.margins
         yield from map(GapRecord, *(col.tolist() for col in cols))
+
+
+def _clear_from(flags: np.ndarray, i: int, step: int) -> int:
+    """The first index i, i + step, i + 2*step, ... (step = 1 or -1) whose flag
+    is clear (a prime), or -1 past either end.  Reads a few entries at a time."""
+    size = 64
+    while 0 <= i < len(flags):
+        chunk = flags[i : i + size] if step > 0 else flags[max(0, i - size + 1) : i + 1][::-1]
+        if not chunk.all():
+            return i + step * int(np.argmin(chunk))
+        i += step * size
+        size *= 4
+    return -1
+
+
+_FULL_WORD = np.uint64(0x0101010101010101)  # eight set bool flags read as one uint64
+
+
+def _words_above(record: int) -> int:
+    """Whole words of flags that every gap above `record` covers: such a gap
+    spans at least record // 2 set flags, which cover (record // 2 - 7) // 8."""
+    return (record // 2 - 7) // 8
+
+
+def _long_gaps(flags: np.ndarray, words: int) -> list[tuple[int, int]]:
+    """(i, j) for each pair of consecutive primes flags[i], flags[j] whose
+    composites between them cover `words` (>= 1) whole aligned uint64 words
+    of the flags.  A run of c set flags covers at least (c - 7) // 8 of them.
+    """
+    runs = flags[: len(flags) // 8 * 8].view(np.uint64) == _FULL_WORD
+    span = 1  # runs[k]: words k .. k + span - 1 are all full
+    while span < words:
+        step = min(span, words - span)
+        runs = runs[:-step] & runs[step:]
+        span += step
+    pairs = {}
+    for k in np.flatnonzero(runs).tolist():
+        i = _clear_from(flags, 8 * k - 1, -1)
+        j = _clear_from(flags, 8 * (k + words), 1)
+        if i >= 0 and j >= 0:  # else the gap reaches past an end of the window
+            pairs[i] = j
+    return sorted(pairs.items())
 
 
 class GapBlockStream:
@@ -114,6 +195,12 @@ class GapBlockStream:
     rows of that window and nothing more is kept.  The stream stops at the
     first prime past its limit.  With `cut_every` set, no block crosses a
     multiple of that index (checkpoint boundaries).
+
+    A window's rows come from its composite flags: their count, ends and
+    records are read off the flags (a record gap is a long run of set
+    flags), and a block's columns are built only if something reads them.
+    A window whose rows a cut splits, or met while the record gap is below
+    30 (too short for a whole word of flags), lists its primes at once.
     """
 
     def __init__(
@@ -133,6 +220,8 @@ class GapBlockStream:
         self.cut_every = cut_every
         self._next_n = seed.next_n
         self._gap_max = seed.gap_max
+        # 2 is no odd flag: a stream from the start holds it as its first row's prime
+        self._pending = 2 if seed.last_p == 1 else None
         _check_segment_size(segment_size)
         # the successor of the last prime <= limit lies below 2 * limit: a longer window is waste
         self._feed = SegmentFeed(seed.last_p + 1, min(segment_size, limit))
@@ -156,21 +245,62 @@ class GapBlockStream:
         self._next_n += len(ps)
         return Block(ns, ps, gaps, is_maximal)
 
+    def _flag_block(self, first: int, flags: np.ndarray, rows: int) -> Block:
+        """The one Block of a window's `rows` rows, read off its flags."""
+        pending, n0, record = self._pending, self._next_n, self._gap_max
+        q1 = first + 2 * _clear_from(flags, 0, 1)
+        last = _clear_from(flags, len(flags) - 1, -1)
+        if pending is not None and rows == 1:
+            last_p = pending
+        else:
+            last_p = first + 2 * _clear_from(flags, last - 1, -1)
+        records = []
+        if pending is not None and q1 - pending > record:
+            record = q1 - pending
+            records.append((n0, pending, record))
+        for i, j in _long_gaps(flags, _words_above(self._gap_max)):
+            if 2 * (j - i) > record:
+                record = 2 * (j - i)
+                rank = i - int(np.count_nonzero(flags[:i]))  # the primes flagged before i
+                records.append((n0 + (pending is not None) + rank, first + 2 * i, record))
+        ends = (n0, n0 + rows - 1, q1 if pending is None else pending, last_p, first + 2 * last)
+        self._gap_max = record
+        self._next_n += rows
+        return Block._of_window(ends, record, records, pending, first, flags)
+
     def blocks(self) -> Iterator[Block]:
         """Yield blocks in order until every prime <= limit has been emitted."""
-        run = np.empty(0, dtype=np.int64)
         while True:
-            # the last prime so far, whose successor was not known, and the new window's
-            run = np.concatenate((run[-1:], self._feed.next_segment()[2]))
-            stop = int(np.searchsorted(run, self.limit, side="right"))  # primes <= limit
-            i, ready = 0, min(stop, len(run) - 1)  # rows whose successor is in run
-            while i < ready:
-                j = ready
-                if self.cut_every:
-                    j = min(j, i + self.cut_every - (self._next_n - 1) % self.cut_every)
-                yield self._take(run[i : j + 1])
-                i = j
-            if stop < len(run):
+            lo, hi, flags = self._feed.next_flags()
+            first = lo | 1
+            beyond = max(0, (self.limit - first) // 2 + 1)  # flags[beyond:] lie past the limit
+            stop = _clear_from(flags, beyond, 1)
+            if stop >= 0:  # the first prime past the limit: the last successor needed
+                flags = flags[: stop + 1]
+            primes = len(flags) - int(np.count_nonzero(flags))
+            rows = primes - (self._pending is None)  # rows whose successor is in the window
+            cut = self.cut_every
+            if rows < 1:
+                if primes:
+                    self._pending = first + 2 * _clear_from(flags, 0, 1)
+            elif cut and (self._next_n - 1) % cut + rows > cut or _words_above(self._gap_max) < 1:
+                run = flag_primes(first, flags)
+                del flags  # the run holds the window now
+                if self._pending is not None:
+                    run = np.concatenate(([self._pending], run))
+                self._pending = int(run[-1])
+                i = 0
+                while i < rows:
+                    j = rows
+                    if cut:
+                        j = min(j, i + cut - (self._next_n - 1) % cut)
+                    yield self._take(run[i : j + 1])
+                    i = j
+            else:
+                block = self._flag_block(first, flags, rows)
+                self._pending = block.next_p
+                yield block
+            if stop >= 0:
                 return
 
 

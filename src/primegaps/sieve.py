@@ -1,10 +1,11 @@
 """Segmented sieve of Eratosthenes over 64-bit ranges.
 
-Prime sequences are produced as ascending ``numpy`` arrays of dtype int64.
-The prime count pi(x) is `prime_pi` (Lucy_Hedgehog's method), and a
+A window is sieved into one composite flag per odd integer (`sieve_flags`),
+and prime sequences are read off them as ascending ``numpy`` arrays of dtype
+int64.  The prime count pi(x) is `prime_pi` (Lucy_Hedgehog's method), and a
 trial-division primality test (`is_prime_oracle`) serves spot checks; neither
 shares code with the sieve path.  `prime_pi_at` counts at many ascending
-targets: `prime_pi` at the first, the sieve past it.
+targets: from a known count or `prime_pi` at the first, the sieve past it.
 """
 
 from __future__ import annotations
@@ -73,12 +74,25 @@ class BasePrimes:
         return self.limit >= _ceil_sqrt(max(hi - 1, 1))
 
 
-def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
-    """The primes in [lo, hi), ascending, as int64.
+# The odd multiples of 3, 5, 7, 11 and 13 repeat every 15015 odd integers:
+# _PATTERN[j] is True when 2j + 1 is one of them.  Two periods, so that any
+# rotation of one period is a single slice.
+_PRESIEVED = (3, 5, 7, 11, 13)
+_PERIOD = math.prod(_PRESIEVED)
+_PATTERN = np.zeros(2 * _PERIOD, dtype=bool)
+for _p in _PRESIEVED:
+    _PATTERN[_p // 2 :: _p] = True
+del _p
+_FIRST_STRUCK = len(_PRESIEVED) + 1  # index of 17 in a BasePrimes array
 
-    Only odd integers are marked: ``composite[k]`` stands for ``first + 2k``,
-    where ``first`` is the least odd integer >= lo, and 2 is added apart.
-    Each odd base prime p with p*p < hi strikes its odd multiples from
+
+def sieve_flags(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
+    """The composite flags of the odd integers in [lo, hi).
+
+    ``flags[k]`` stands for ``(lo | 1) + 2k`` and is True when that integer
+    is composite.  A window starts as a copy of the pattern of odd multiples
+    of 3..13, from which those primes themselves are cleared.  Each base
+    prime p >= 17 with p*p < hi then strikes its odd multiples from
     max(p*p, lo) on, a stride of p in that index.  Primes below
     SMALL_PRIME_CUTOFF strike by one slice each; the larger ones hit the
     window a few times at most, so all their hits are built as one index
@@ -99,8 +113,19 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
         )
     first = lo | 1
     n = (hi - first + 1) // 2
-    composite = np.zeros(n, dtype=bool)
-    odd = base.primes[1 : np.searchsorted(base.primes, math.isqrt(hi - 1), side="right")]
+    composite = np.empty(n, dtype=bool)
+    filled = min(n, _PERIOD)
+    offset = (first >> 1) % _PERIOD
+    composite[:filled] = _PATTERN[offset : offset + filled]
+    while filled < n:  # filled is a whole number of periods: copy them on
+        more = min(filled, n - filled)
+        composite[filled : filled + more] = composite[:more]
+        filled += more
+    for p in _PRESIEVED:
+        if first <= p < hi:
+            composite[(p - first) >> 1] = False
+    top = np.searchsorted(base.primes, math.isqrt(hi - 1), side="right")
+    odd = base.primes[_FIRST_STRUCK:top]
     start = np.maximum(odd * odd, (lo + odd - 1) // odd * odd)  # first multiple >= max(p*p, lo)
     start += odd * (1 - (start & 1))  # an even multiple steps on to the next, odd one
     idx = (start - first) >> 1
@@ -111,7 +136,21 @@ def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     hits = np.maximum(n - i + p - 1, 0) // p
     rank = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
     composite[np.repeat(i, hits) + rank * np.repeat(p, hits)] = True
-    primes = first + 2 * np.flatnonzero(~composite).astype(np.int64, copy=False)
+    return composite
+
+
+def flag_primes(first: int, flags: np.ndarray) -> np.ndarray:
+    """The primes among the odd integers first, first + 2, ... that `flags` marks, as int64."""
+    primes = np.flatnonzero(~flags).astype(np.int64, copy=False)
+    primes *= 2  # in place: a window's worth of int64 is held once
+    primes += first
+    return primes
+
+
+def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
+    """The primes in [lo, hi), ascending, as int64: `sieve_flags`'s odd primes,
+    with 2 added when lo = 2.  Raises ValueError as `sieve_flags` does."""
+    primes = flag_primes(lo | 1, sieve_flags(lo, hi, base))
     return np.concatenate(([2], primes)) if lo == 2 else primes
 
 
@@ -174,21 +213,26 @@ def prime_pi(x: int) -> int:
     return int(large[1])
 
 
-def prime_pi_at(targets: np.ndarray) -> np.ndarray:
+def prime_pi_at(targets: np.ndarray, known: tuple[int, int] | None = None) -> np.ndarray:
     """pi(t) for each of the ascending int64 `targets`, as int64.
 
-    `prime_pi` counts up to the first target, and the span up to the last
-    is sieved one default window at a time.  Raises OverflowError for a
-    target past PRIME_PI_MAX.
+    The count starts from `known` = (t0, pi(t0)) for a t0 at most the first
+    target, or else from `prime_pi` at the first target, and the span up to
+    the last target is sieved one default window at a time.  Raises
+    OverflowError for a target past PRIME_PI_MAX.
     """
     first, last = int(targets[0]), int(targets[-1])
     if last > PRIME_PI_MAX:
         raise OverflowError(f"pi(x) is computed for x <= {PRIME_PI_MAX}, got {last}")
-    pis = np.full(len(targets), prime_pi(first), dtype=np.int64)
+    t0, pi0 = known if known is not None else (first, prime_pi(first))
+    pis = np.full(len(targets), pi0, dtype=np.int64)
     base = BasePrimes.up_to(max(2, _ceil_sqrt(last)))
-    for lo in range(first + 1, last + 1, DEFAULT_SEGMENT_SIZE):
-        primes = sieve_segment(lo, min(lo + DEFAULT_SEGMENT_SIZE, last + 1), base)
-        pis += np.searchsorted(primes, targets, side="right")
+    for lo in range(t0 + 1, last + 1, DEFAULT_SEGMENT_SIZE):
+        hi = min(lo + DEFAULT_SEGMENT_SIZE, last + 1)
+        primes = sieve_segment(lo, hi, base)
+        a, b = np.searchsorted(targets, (lo, hi)).tolist()  # targets[a:b] lie in [lo, hi)
+        pis[a:b] += np.searchsorted(primes, targets[a:b], side="right")
+        pis[b:] += len(primes)
     return pis
 
 
@@ -263,8 +307,8 @@ class SegmentFeed:
         self._next_lo = start
         self._base = BasePrimes.up_to(max(2, _ceil_sqrt(start + segment_size)))
 
-    def next_segment(self) -> tuple[int, int, np.ndarray]:
-        """Sieve the next window; returns (lo, hi, primes)."""
+    def _advance(self) -> tuple[int, int]:
+        """The next window's [lo, hi), with base primes grown to cover it."""
         lo = self._next_lo
         hi = lo + self.segment_size
         if hi > MAX_LIMIT:
@@ -272,7 +316,17 @@ class SegmentFeed:
         if not self._base.covers(hi):
             self._base = BasePrimes.up_to(max(self._base.limit * 2, _ceil_sqrt(hi - 1)))
         self._next_lo = hi
+        return lo, hi
+
+    def next_segment(self) -> tuple[int, int, np.ndarray]:
+        """Sieve the next window; returns (lo, hi, primes)."""
+        lo, hi = self._advance()
         return lo, hi, sieve_segment(lo, hi, self._base)
+
+    def next_flags(self) -> tuple[int, int, np.ndarray]:
+        """Sieve the next window; returns (lo, hi, composite flags) as `sieve_flags` gives them."""
+        lo, hi = self._advance()
+        return lo, hi, sieve_flags(lo, hi, self._base)
 
     def __enter__(self) -> SegmentFeed:
         return self

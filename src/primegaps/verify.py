@@ -53,13 +53,14 @@ class CheckDef:
 def _gap_check(b: bounds.Bound) -> CheckDef:
     """The check of one gap bound: the rows where it applies and fails.
 
-    A block from p0 >= GAP_BOUNDS_RISE_FROM whose largest gap meets the bound
-    at p0 has no such row, so rows are decided only when that point fails.
+    A block from p0 >= GAP_BOUNDS_RISE_FROM whose gap bound (no gap of it is
+    larger) meets the bound at p0 has no such row, so rows are decided only
+    when that point fails.
     """
     first = b.first_index
 
     def violations(block: Block) -> np.ndarray:
-        p0, top = int(block.ps[0]), int(block.gaps.max())
+        p0, top = block.first_p, block.gap_bound
         if block.last_n < first or p0 >= bounds.GAP_BOUNDS_RISE_FROM and b.decide(p0, top)[0]:
             return np.zeros(len(block), dtype=bool)
         fails = ~b.holds_many(block.ps, block.gaps)
@@ -75,8 +76,10 @@ CHECKS: dict[str, CheckDef] = {
             "theorem1",
             "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
             1,
-            # p_(n+1) = p_n + gap, so (p_n, p_n + n] holds a prime (margin >= 1) iff gap <= n
-            lambda block: block.gaps > block.ns,
+            # p_(n+1) = p_n + gap, so (p_n, p_n + n] holds a prime (margin >= 1) iff gap <= n;
+            # no gap of the block exceeds gap_bound, nor any n is below first_n
+            lambda block: (np.zeros(len(block), dtype=bool) if block.gap_bound <= block.first_n
+                           else block.gaps > block.ns),
         ),
         *map(_gap_check, bounds.GAP_BOUNDS),
     )
@@ -257,7 +260,10 @@ def write_checkpoint(path: str | Path, ck: Checkpoint) -> None:
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Load and validate a checkpoint file (hash, version, required keys)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
     lines = text.splitlines()
     if not lines or not lines[-1].startswith("sha256 = "):
         raise CheckpointFormatError(f"{path}: missing sha256 integrity line")
@@ -340,7 +346,10 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
     A stored or sunk row waits, in index order, for its margin pi(p + n) - n:
     it is read off the first block whose successor passes p + n, or, at a
     multiple of the interval and at the end, from prime_pi_at.  Under
-    emit="all", `sink` gets every row with block.margins.
+    emit="all", `sink` gets every row with its margins, counted on from the
+    last target of the block before.  The rows kept are a block's records,
+    so its columns are read only where a check fails, a margin settles or
+    every row is emitted.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(state.last_n + 1, state.last_p, state.gap_max)
@@ -349,6 +358,7 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
     claimed = set(state.first_violations)  # checks whose first violation is stored or waiting
     waiting: list[tuple] = []  # (n, p, gap, is_maximal, to sink, first violation of)
     settle_to_sink = sink is not None and config.emit != "all"
+    known = None  # (t, pi(t)) at the last target emitted under emit="all"
 
     def settle(pis: np.ndarray) -> None:
         """Pass on the first len(pis) waiting rows, given pi(p + n) for each."""
@@ -363,7 +373,7 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
         del waiting[: len(pis)]
 
     for block in stream.blocks():
-        violated = np.zeros(len(block), dtype=bool)
+        violated = None
         firsts: dict[int, list[str]] = {}
         for cd in defs:
             hits = cd.violations(block)
@@ -373,20 +383,29 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
                 if cd.name not in claimed:
                     claimed.add(cd.name)
                     firsts.setdefault(int(np.flatnonzero(hits)[0]), []).append(cd.name)
-                violated |= hits
+                violated = hits if violated is None else violated | hits
         if config.emit == "all" and sink is not None:
+            margins = block.margins_from(known)
+            known = (block.last_p + block.last_n, block.last_n + int(margins[-1]))
             for rec in block.iter_records():
                 sink(rec)
-        emitted = (violated if config.emit == "violations" else block.is_maximal) & settle_to_sink
-        keep = block.is_maximal | emitted
-        keep[list(firsts)] = True
-        rows = np.flatnonzero(keep)
-        cols = (block.ns, block.ps, block.gaps, block.is_maximal, emitted)
-        waiting += zip(*(c[rows].tolist() for c in cols), [firsts.get(i, ()) for i in rows.tolist()])
+        if violated is None:  # the rows kept are the records, emitted under emit="maximal"
+            emitted = settle_to_sink and config.emit == "maximal"
+            waiting += [(n, p, gap, True, emitted, ()) for n, p, gap in block.records]
+        else:
+            emitted = violated if config.emit == "violations" else block.is_maximal
+            emitted = emitted & settle_to_sink
+            keep = block.is_maximal | emitted
+            keep[list(firsts)] = True
+            rows = np.flatnonzero(keep)
+            cols = (block.ns, block.ps, block.gaps, block.is_maximal, emitted)
+            names = [firsts.get(i, ()) for i in rows.tolist()]
+            waiting += zip(*(c[rows].tolist() for c in cols), names)
         ts = np.array([n + p for n, p, *_ in waiting], dtype=np.int64)
-        # the block holds every prime from p_(first_n) up to its successor
-        ready = int(np.searchsorted(ts, block.last_p + int(block.gaps[-1])))
-        settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
+        # the block holds every prime from p_(first_n) up to its successor next_p
+        ready = int(np.searchsorted(ts, block.next_p))
+        if ready:
+            settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
         state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, stream.gap_max
         if waiting and _at_multiple(config, state):
             settle(prime_pi_at(ts[ready:]))

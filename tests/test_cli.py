@@ -243,6 +243,15 @@ def test_verify_missing_checkpoint_file(tmp_path, capsys):
     assert out == ""
 
 
+def test_verify_refuses_a_checkpoint_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.ck"
+    path.write_bytes(b"\xff\xfeformat_version = 2\n")
+    argv = ("verify", "--limit", "1000", "--checkpoint", str(path), "--resume")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: {path}: not a UTF-8 text file (invalid start byte)\n"
+
+
 def test_verify_cli_resume_continues_interrupted_run(tmp_path, capsys):
     checks = "theorem1,bertrand,corollary1,empirical"
     code, full_out, _ = run_cli(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primegaps import gaps as gaps_module
 from primegaps.gaps import (
     GapBlockStream,
     GapRecord,
@@ -13,7 +14,9 @@ from primegaps.gaps import (
     gap_witness,
 )
 from primegaps.sieve import SegmentFeed, primes_up_to
-from primegaps.verify import maximal_gaps
+from primegaps.verify import TABLE1_REFERENCE, maximal_gaps
+
+RECORDS = [(n, p, gap) for n, p, gap, starred, _, _ in TABLE1_REFERENCE if starred]
 
 # (m, p, gap) for the factorial witness construction; gaps verified against
 # trial division.
@@ -97,14 +100,14 @@ def test_limit_validation():
 def test_window_never_outgrows_the_limit(monkeypatch):
     # the successor of the last prime <= limit lies below 2 * limit, so a 2**26 window is waste
     sieved = []
-    next_segment = SegmentFeed.next_segment
+    next_flags = SegmentFeed.next_flags
 
     def counted(self):
-        lo, hi, primes = next_segment(self)
+        lo, hi, flags = next_flags(self)
         sieved.append(hi - lo)
-        return lo, hi, primes
+        return lo, hi, flags
 
-    monkeypatch.setattr(SegmentFeed, "next_segment", counted)
+    monkeypatch.setattr(SegmentFeed, "next_flags", counted)
     blocks = list(GapBlockStream(100, segment_size=2**26).blocks())
     assert sum(len(b) for b in blocks) == 25
     assert sum(sieved) <= 3 * 100
@@ -114,14 +117,14 @@ def test_stream_sieves_no_window_past_the_first_prime_beyond_the_limit(monkeypat
     # A row leaves once its successor is sieved, so the stream stops in the
     # window that holds next_prime(10**6) = 1 000 003.
     ends = []
-    next_segment = SegmentFeed.next_segment
+    next_flags = SegmentFeed.next_flags
 
     def counted(self):
-        lo, hi, primes = next_segment(self)
+        lo, hi, flags = next_flags(self)
         ends.append(hi)
-        return lo, hi, primes
+        return lo, hi, flags
 
-    monkeypatch.setattr(SegmentFeed, "next_segment", counted)
+    monkeypatch.setattr(SegmentFeed, "next_flags", counted)
     blocks = list(GapBlockStream(10**6, segment_size=1 << 16).blocks())
     assert sum(len(b) for b in blocks) == 78_498
     assert blocks[-1].last_p + int(blocks[-1].gaps[-1]) == 1_000_003
@@ -217,3 +220,97 @@ def test_blocks_stay_valid_after_the_stream_moves_on(seeded_at):
         best = max(best, gap)
     assert margins.tolist() == expected_margins
     assert is_maximal.tolist() == expected_maximal
+
+
+def assert_blocks_match(blocks, ref, gap_max=0) -> int:
+    """Check blocks against `ref` (ref[n - 1] = p_n, past the last successor):
+    ends, records and gap bound first, then every column.  Returns the last index."""
+    n = None
+    for b in blocks:
+        n = b.first_n if n is None else n
+        ps = ref[n - 1 : b.last_n]
+        gaps = ref[n : b.last_n + 1] - ps
+        assert (b.first_n, b.first_p, b.last_p, b.next_p) == (n, ps[0], ps[-1], ref[b.last_n])
+        records = []
+        for i in np.flatnonzero(gaps > gap_max).tolist():
+            if gaps[i] > gap_max:
+                gap_max = int(gaps[i])
+                records.append((n + i, int(ps[i]), gap_max))
+        assert b.records == records
+        assert b.gap_bound >= gaps.max()
+        assert b.ns.tolist() == list(range(n, b.last_n + 1))
+        assert b.ps.tolist() == ps.tolist() and b.gaps.tolist() == gaps.tolist()
+        assert np.flatnonzero(b.is_maximal).tolist() == [m - n for m, _, _ in records]
+        n = b.last_n + 1
+    return n - 1
+
+
+@pytest.mark.parametrize(
+    "limit, segment_size", [(50_000, 20), (400_000, 64), (400_000, 1000), (2_000_000, 1 << 16)]
+)
+def test_records_read_off_the_flags_are_the_streams(monkeypatch, limit, segment_size):
+    # Windows shorter than a record gap hold no prime at all; longer ones hold
+    # whole records.  Every window past the first record of 30 or more reads
+    # its records off the flags, and only the first ones list their primes.
+    listed = []
+    flag_primes = gaps_module.flag_primes
+    monkeypatch.setattr(gaps_module, "flag_primes", lambda *a: listed.append(a) or flag_primes(*a))
+    blocks = list(GapBlockStream(limit, segment_size=segment_size).blocks())
+    assert len(listed) * 10 < len(blocks)
+    ref = primes_up_to(limit + 1000)
+    assert assert_blocks_match(blocks, ref) == np.searchsorted(ref, limit, side="right")
+    assert [r for b in blocks for r in b.records] == [r for r in RECORDS if r[1] <= limit]
+
+
+def test_a_record_gap_across_a_window_start_is_found():
+    # Seeded after the record 34 at p_217 = 1327, every window reads its
+    # records off the flags.  The first window ends inside each later record
+    # gap up to 2e6, so the gap runs from the window's last prime into the
+    # next window; and the first window starts inside the gap after 1327,
+    # which is no row of this stream.
+    ref = primes_up_to(2_100_000)
+    seed = _StreamSeed(next_n=218, last_p=1327, gap_max=34)
+    for n, p, gap in RECORDS:
+        if 1327 < p < 2_000_000:
+            size = p + gap // 2 - 1328
+            blocks = list(GapBlockStream(2_000_000, segment_size=size, seed=seed).blocks())
+            assert (n, p, gap) in blocks[1].records
+            assert assert_blocks_match(blocks, ref, gap_max=34) == 148_933
+
+
+@pytest.mark.parametrize("cut_every", [3380, 3384, 3385, 3386])
+def test_a_cut_inside_a_window_that_holds_a_record(cut_every):
+    # The record n = 3385 (p = 31397, gap 72) and a multiple of cut_every lie
+    # in the seeded stream's first window, so the cut splits that window: its
+    # primes are listed and cut, and the next windows are read off the flags.
+    seed = _StreamSeed(next_n=218, last_p=1327, gap_max=34)
+    blocks = list(GapBlockStream(100_000, 1 << 16, cut_every, seed).blocks())
+    assert blocks[0].first_n == 218 and blocks[0].last_n == cut_every
+    assert assert_blocks_match(blocks, primes_up_to(101_000), gap_max=34) == 9592
+    assert all((b.first_n - 1) // cut_every == (b.last_n - 1) // cut_every for b in blocks)
+    assert [r for b in blocks for r in b.records] == [r for r in RECORDS if 1327 < r[1] < 10**5]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    # mostly set flags (composites), so long runs are common
+    composite=st.lists(st.integers(0, 9), max_size=400).map(lambda xs: np.array(xs, dtype=int) > 0),
+    words=st.integers(min_value=1, max_value=5),
+)
+def test_long_gaps_are_the_runs_that_cover_whole_words(composite, words):
+    # Every pair of consecutive clear flags whose set flags between them cover
+    # at least `words` aligned 8-flag words, and no other pair.
+    clear = np.flatnonzero(~composite).tolist()
+    expected = [(i, j) for i, j in zip(clear, clear[1:]) if j // 8 - -(-(i + 1) // 8) >= words]
+    assert gaps_module._long_gaps(composite, words) == expected
+
+
+def test_every_gap_above_the_record_covers_the_words_searched_for():
+    # A gap between odd primes is even, and its composites are gap / 2 - 1 set
+    # flags from any offset a; every gap above the record must cover
+    # _words_above(record) whole words.
+    for record in range(0, 600):
+        for gap in range(record + 2 - record % 2, record + 40, 2):
+            run = gap // 2 - 1
+            covered = min((a + run) // 8 - -(-a // 8) for a in range(8))
+            assert covered >= gaps_module._words_above(record), (record, gap)

@@ -16,8 +16,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from primegaps import sieve, verify
+from primegaps import gaps, sieve, verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, RECORD_CSV_HEADER, main
 from primegaps.gaps import GapRecord
 from primegaps.sieve import is_prime_oracle
@@ -375,3 +377,44 @@ def test_shard_that_does_not_continue_the_index_gives_one_error_line(capsys, mon
         f"but the shards before it end at index {n0}\n"
     )
     assert multiprocessing.active_children() == []
+
+
+REAL_CHECKS = tuple(CHECKS)  # the 8 registered checks
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    limit=st.integers(min_value=3, max_value=250_000),
+    segment_size=st.sampled_from([64, 1000, 4096, 1 << 14, 1 << 20]),
+    interval=st.one_of(st.none(), st.integers(min_value=500, max_value=30_000)),
+    emit=st.sampled_from(["maximal", "violations"]),
+    k=st.sampled_from([1, 2]),
+    above=st.integers(min_value=20, max_value=90),
+)
+def test_flag_blocks_give_the_results_of_listed_blocks(
+    tmp_path_factory, limit, segment_size, interval, emit, k, above
+):
+    # A run whose stream lists every window's primes (as if no gap above the
+    # record covered a whole word of flags) is the reference.  A synthetic
+    # check fails on gaps above `above`, deciding blocks from their gap bound
+    # first as the real ones do, so runs hold violations, their rows and
+    # first offenders.
+    path = tmp_path_factory.mktemp("ck") / "run.ck"
+    gap_above = CheckDef("gap_above", "test-only", 1, lambda b: (
+        np.zeros(len(b), dtype=bool) if b.gap_bound <= above else b.gaps > above))
+    results = []
+    for listed in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(verify, "_MIN_SHARD", 100)
+            patch.setenv("PRIMEGAP_THREADS", str(k))
+            patch.setitem(CHECKS, "gap_above", gap_above)
+            if listed:
+                patch.setattr(gaps, "_words_above", lambda record: 0)
+            config = RunConfig(limit, (*REAL_CHECKS, "gap_above"), segment_size,
+                               str(path) if interval else None, interval or 1, emit)
+            rows = []
+            summary = run_verification(config, rows.append)
+            ck = path.read_bytes() if path.exists() else None
+            path.unlink(missing_ok=True)
+            results.append((summary.canonical_lines(), rows, ck))
+    assert results[0] == results[1]

@@ -16,6 +16,7 @@ from primegaps.sieve import (
     is_prime_oracle,
     next_prime,
     prime_pi,
+    prime_pi_at,
     primes_up_to,
     sieve_segment,
     sieve_threads,
@@ -131,6 +132,32 @@ def test_sieve_segment_matches_reference_around_prime_squares():
             for width in (1, 2, 777):
                 assert_kernel_matches_reference(edge, edge + width)
                 assert_kernel_matches_reference(max(2, edge - width), edge)
+
+
+def test_presieved_windows_match_the_reference():
+    # A window starts as a copy of the odd multiples of 3..13, which repeat
+    # every 15015 odd integers: windows from every lo <= 13 (where those primes
+    # are cleared again), shorter than a period, over several periods, and from
+    # lo at and around multiples of 2 * 15015.
+    period = 2 * 15015
+    for lo in range(2, 14):
+        for hi in (14, 100, period - 1, period + 5):
+            assert_kernel_matches_reference(lo, hi)
+    for k in (1, 2, 7):
+        for lo in (k * period - 1, k * period, k * period + 1):
+            for width in (1, 13, 15_015, period - 1, period, 3 * period + 11):
+                assert_kernel_matches_reference(lo, lo + width)
+    reference = reference_sieve(2, 4 * period + 1, BasePrimes.up_to(400))
+    assert primes_up_to(4 * period).tolist() == reference.tolist()
+
+
+def test_prime_pi_at_counts_on_from_a_known_point():
+    rng = np.random.default_rng(7)
+    targets = np.sort(rng.integers(10**6, 5 * 10**6, size=200))
+    for t0 in (10**6 - 1, int(targets[0])):
+        known = (t0, prime_pi(t0))
+        assert prime_pi_at(targets, known).tolist() == prime_pi_at(targets).tolist()
+    assert prime_pi_at(targets[::20]).tolist() == [prime_pi(int(t)) for t in targets[::20]]
 
 
 @pytest.mark.parametrize("scale", [10**10, 10**12])

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from primegaps import bounds
+from primegaps import bounds, gaps
 from primegaps.gaps import Block, GapBlockStream, GapRecord, _StreamSeed
 from primegaps.sieve import MAX_SEGMENT_SIZE, primes_up_to
 from primegaps.verify import (
@@ -563,3 +563,20 @@ def test_reproduce_table1_resume_matches_direct(tmp_path):
     check_resume(ck, table1_config(1_000_000, **options))
     resumed = reproduce_table1(1_000_000, **options, start=ck)
     assert resumed == direct
+
+
+def test_a_default_run_to_1e8_lists_few_windows_primes(monkeypatch):
+    # Records are read off the sieve's flags and every check is decided from a
+    # block's first index and prime and its gap bound, so a window's primes
+    # are listed only in the first window (records below 30) and where a
+    # record's margin settles.  A fallback to listing every window fails here.
+    monkeypatch.setenv("PRIMEGAP_THREADS", "1")
+    listed = []
+    flag_primes = gaps.flag_primes
+    monkeypatch.setattr(
+        gaps, "flag_primes", lambda first, flags: listed.append(first) or flag_primes(first, flags)
+    )
+    summary = run_verification(RunConfig(limit=10**8))
+    assert summary.clean and summary.primes_processed == 5_761_455
+    assert len(summary.maximal_records) == 25
+    assert len(listed) <= 8, listed
