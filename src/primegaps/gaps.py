@@ -8,12 +8,13 @@ that margin is at least 1, so checks decide it on the gap alone.
 
 The engine is block-oriented: each window from the sieve, plus the last
 prime of the window before it, yields the rows whose successor it holds.
-A block is read off the window's composite flags (row count, ends, record
-gaps), and its columns are built only when something reads them.  The
-stream keeps no primes beyond that window, so a block's margins are
-computed on demand (`Block.margins`, by `prime_pi_at`), and a verification
-run reads the few it stores where its stream passes p + n.  `gap_stream`
-flattens blocks into per-prime records.
+Every block is read off the window's composite flags (row count, ends,
+record gaps), a checkpoint cut splits those flags, and a block's columns
+are built only when something reads them.  The stream keeps no primes
+beyond that window, so a block's margins are computed on demand
+(`Block.margins`, by `prime_pi_at`), and a verification run reads the few
+it stores where its stream passes p + n.  `gap_stream` flattens blocks
+into per-prime records.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ class Block:
 
     A block always knows its ends (next_p = p_(last_n + 1) closes the last
     gap), its record rows `records` as (n, p, gap), and `gap_bound`, which
-    no gap of the block exceeds.  The stream builds the columns ns, ps, gaps
-    and is_maximal only when one is read, and `margins` likewise;
-    `Block(ns, ps, gaps, is_maximal)` makes a block of given columns.
+    no gap of the block exceeds: for a stream block the record after it,
+    for a block of given columns, `Block(ns, ps, gaps, is_maximal)`, its
+    largest gap.  The stream builds the columns ns, ps, gaps and is_maximal
+    only when one is read, and `margins` likewise.
     """
 
     __slots__ = ("first_n", "last_n", "first_p", "last_p", "next_p", "gap_bound", "records",
@@ -110,9 +112,11 @@ class Block:
     def _cols(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         if self._columns is None:
             pending, first, flags = self._source
-            run = flag_primes(first, flags)
+            run = np.empty(len(self) + 1, dtype=np.int64)
+            run[pending is not None :] = flag_primes(first, flags)
+            self._source = flags = None  # the columns hold the window's primes from here on
             if pending is not None:
-                run = np.concatenate(([pending], run))
+                run[0] = pending
             is_maximal = np.zeros(len(self), dtype=bool)
             is_maximal[[n - self.first_n for n, _, _ in self.records]] = True
             ns = np.arange(self.first_n, self.last_n + 1, dtype=np.int64)
@@ -145,16 +149,19 @@ class Block:
         yield from map(GapRecord, *(col.tolist() for col in cols))
 
 
-def _clear_from(flags: np.ndarray, i: int, step: int) -> int:
-    """The first index i, i + step, i + 2*step, ... (step = 1 or -1) whose flag
-    is clear (a prime), or -1 past either end.  Reads a few entries at a time."""
+def _clear_from(flags: np.ndarray, i: int, step: int, skip: int = 0) -> int:
+    """The index of the first clear flag (a prime) among i, i + step, i + 2*step,
+    ... (step = 1 or -1) after `skip` clear ones, or -1 past either end.  Reads
+    a few entries at a time."""
     size = 64
     while 0 <= i < len(flags):
         chunk = flags[i : i + size] if step > 0 else flags[max(0, i - size + 1) : i + 1][::-1]
-        if not chunk.all():
-            return i + step * int(np.argmin(chunk))
+        clear = len(chunk) - int(np.count_nonzero(chunk))
+        if clear > skip:
+            return i + step * int(np.flatnonzero(~chunk)[skip])
+        skip -= clear
         i += step * size
-        size *= 4
+        size = min(4 * size, 1 << 16)
     return -1
 
 
@@ -196,11 +203,10 @@ class GapBlockStream:
     first prime past its limit.  With `cut_every` set, no block crosses a
     multiple of that index (checkpoint boundaries).
 
-    A window's rows come from its composite flags: their count, ends and
-    records are read off the flags (a record gap is a long run of set
-    flags), and a block's columns are built only if something reads them.
-    A window whose rows a cut splits, or met while the record gap is below
-    30 (too short for a whole word of flags), lists its primes at once.
+    Every block is read off its window's composite flags: the row count,
+    ends and records (a record gap is a long run of set flags), and its
+    columns are built only if something reads them.  A cut after index m
+    splits the flags at p_(m+1), which closes one block and opens the next.
     """
 
     def __init__(
@@ -226,50 +232,45 @@ class GapBlockStream:
         # the successor of the last prime <= limit lies below 2 * limit: a longer window is waste
         self._feed = SegmentFeed(seed.last_p + 1, min(segment_size, limit))
 
-    @property
-    def gap_max(self) -> int:
-        """Largest gap seen among emitted indices (plus any seeded history)."""
-        return self._gap_max
-
-    def _take(self, run: np.ndarray) -> Block:
-        """One Block of the primes of `run` but the last, which only gives the final gap."""
-        ps, gaps = run[:-1], np.diff(run)
-        ns = np.arange(self._next_n, self._next_n + len(ps), dtype=np.int64)
-        # Only gaps above the record so far can set one; the first of them does.
-        is_maximal = gaps > self._gap_max
-        above = gaps[is_maximal]
-        if len(above):
-            running = np.maximum.accumulate(above)
-            is_maximal[np.flatnonzero(is_maximal)[1:]] = above[1:] > running[:-1]
-            self._gap_max = int(running[-1])
-        self._next_n += len(ps)
-        return Block(ns, ps, gaps, is_maximal)
-
     def _flag_block(self, first: int, flags: np.ndarray, rows: int) -> Block:
-        """The one Block of a window's `rows` rows, read off its flags."""
+        """The Block of `rows` rows: the pending prime, if any, then the primes
+        `flags` leaves clear, the last of which only closes the last gap."""
         pending, n0, record = self._pending, self._next_n, self._gap_max
         q1 = first + 2 * _clear_from(flags, 0, 1)
         last = _clear_from(flags, len(flags) - 1, -1)
         if pending is not None and rows == 1:
             last_p = pending
         else:
-            last_p = first + 2 * _clear_from(flags, last - 1, -1)
+            last_p = first + 2 * _clear_from(flags, last, -1, 1)
         records = []
         if pending is not None and q1 - pending > record:
             record = q1 - pending
             records.append((n0, pending, record))
-        for i, j in _long_gaps(flags, _words_above(self._gap_max)):
-            if 2 * (j - i) > record:
-                record = 2 * (j - i)
-                rank = i - int(np.count_nonzero(flags[:i]))  # the primes flagged before i
-                records.append((n0 + (pending is not None) + rank, first + 2 * i, record))
+        words = _words_above(record)
+        if words < 1:  # a gap above the record may cover no whole word: every pair is a candidate
+            clear = np.flatnonzero(~flags)
+            i, j = clear[:-1], clear[1:]
+        else:
+            i, j = np.array(_long_gaps(flags, words), dtype=np.int64).reshape(-1, 2).T
+        gaps = j - i
+        gaps *= 2  # in place: the first window has a candidate per prime
+        # a record gap is above the record so far and above every candidate before it
+        is_record = gaps > record
+        is_record[1:] &= gaps[1:] > np.maximum.accumulate(gaps)[:-1]
+        n, at = n0 + (pending is not None), 0  # n: the index of the first prime flagged from `at`
+        for k in np.flatnonzero(is_record).tolist():
+            n += int(i[k]) - at - int(np.count_nonzero(flags[at : i[k]]))
+            at = int(i[k])
+            records.append((n, first + 2 * at, int(gaps[k])))
         ends = (n0, n0 + rows - 1, q1 if pending is None else pending, last_p, first + 2 * last)
-        self._gap_max = record
+        self._gap_max = int(gaps.max(initial=record))
         self._next_n += rows
-        return Block._of_window(ends, record, records, pending, first, flags)
+        self._pending = ends[-1]
+        return Block._of_window(ends, self._gap_max, records, pending, first, flags)
 
     def blocks(self) -> Iterator[Block]:
         """Yield blocks in order until every prime <= limit has been emitted."""
+        cut = self.cut_every
         while True:
             lo, hi, flags = self._feed.next_flags()
             first = lo | 1
@@ -279,26 +280,18 @@ class GapBlockStream:
                 flags = flags[: stop + 1]
             primes = len(flags) - int(np.count_nonzero(flags))
             rows = primes - (self._pending is None)  # rows whose successor is in the window
-            cut = self.cut_every
             if rows < 1:
                 if primes:
                     self._pending = first + 2 * _clear_from(flags, 0, 1)
-            elif cut and (self._next_n - 1) % cut + rows > cut or _words_above(self._gap_max) < 1:
-                run = flag_primes(first, flags)
-                del flags  # the run holds the window now
-                if self._pending is not None:
-                    run = np.concatenate(([self._pending], run))
-                self._pending = int(run[-1])
-                i = 0
-                while i < rows:
-                    j = rows
-                    if cut:
-                        j = min(j, i + cut - (self._next_n - 1) % cut)
-                    yield self._take(run[i : j + 1])
-                    i = j
             else:
+                while cut and (self._next_n - 1) % cut + rows > cut:
+                    head = cut - (self._next_n - 1) % cut  # rows up to the multiple m
+                    at = _clear_from(flags, 0, 1, head - (self._pending is not None))  # p_(m+1)
+                    yield self._flag_block(first, flags[: at + 1], head)
+                    self._pending = None  # p_(m+1) opens the rest as its first row
+                    first, flags, rows = first + 2 * at, flags[at:], rows - head
                 block = self._flag_block(first, flags, rows)
-                self._pending = block.next_p
+                del flags  # the block alone holds the window, until it builds its columns
                 yield block
             if stop >= 0:
                 return

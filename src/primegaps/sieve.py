@@ -271,7 +271,8 @@ def next_prime(p: int) -> int:
 
 
 def sieve_threads() -> int:
-    """Workers of a verification run, os.cpu_count() unless PRIMEGAP_THREADS sets it.
+    """Workers of a verification run: the CPUs this process may run on, unless
+    PRIMEGAP_THREADS sets it.
 
     A run cuts its range into at most this many shard processes, each of
     which sieves on one thread.
@@ -285,11 +286,14 @@ def sieve_threads() -> int:
         if n < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {n}")
         return n
+    if hasattr(os, "sched_getaffinity"):  # a taskset or cpuset may allow fewer than cpu_count
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 class SegmentFeed:
-    """Ordered stream of (lo, hi, primes) triples covering [start, ...) upward.
+    """Ordered windows [lo, hi) covering [start, ...) upward, each given as
+    its primes (`next_segment`) or its composite flags (`next_flags`).
 
     Each window is sieved when it is asked for; base primes grow on demand
     as windows climb.

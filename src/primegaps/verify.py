@@ -406,7 +406,7 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
         ready = int(np.searchsorted(ts, block.next_p))
         if ready:
             settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
-        state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, stream.gap_max
+        state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, block.gap_bound
         if waiting and _at_multiple(config, state):
             settle(prime_pi_at(ts[ready:]))
         after_block(state)

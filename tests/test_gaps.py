@@ -250,8 +250,9 @@ def assert_blocks_match(blocks, ref, gap_max=0) -> int:
 )
 def test_records_read_off_the_flags_are_the_streams(monkeypatch, limit, segment_size):
     # Windows shorter than a record gap hold no prime at all; longer ones hold
-    # whole records.  Every window past the first record of 30 or more reads
-    # its records off the flags, and only the first ones list their primes.
+    # whole records.  Every window reads its records off the flags (below a
+    # record of 30 every pair of primes is a candidate), and none lists its
+    # primes until its columns are read.
     listed = []
     flag_primes = gaps_module.flag_primes
     monkeypatch.setattr(gaps_module, "flag_primes", lambda *a: listed.append(a) or flag_primes(*a))
@@ -281,14 +282,41 @@ def test_a_record_gap_across_a_window_start_is_found():
 @pytest.mark.parametrize("cut_every", [3380, 3384, 3385, 3386])
 def test_a_cut_inside_a_window_that_holds_a_record(cut_every):
     # The record n = 3385 (p = 31397, gap 72) and a multiple of cut_every lie
-    # in the seeded stream's first window, so the cut splits that window: its
-    # primes are listed and cut, and the next windows are read off the flags.
+    # in the seeded stream's first window, so the cut splits that window's
+    # flags at the prime after the multiple, before, at or after the record.
     seed = _StreamSeed(next_n=218, last_p=1327, gap_max=34)
     blocks = list(GapBlockStream(100_000, 1 << 16, cut_every, seed).blocks())
     assert blocks[0].first_n == 218 and blocks[0].last_n == cut_every
     assert assert_blocks_match(blocks, primes_up_to(101_000), gap_max=34) == 9592
     assert all((b.first_n - 1) // cut_every == (b.last_n - 1) // cut_every for b in blocks)
     assert [r for b in blocks for r in b.records] == [r for r in RECORDS if 1327 < r[1] < 10**5]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    segment_size=st.sampled_from([1, 7, 20, 64, 1000, 1 << 14, 1 << 20]),
+    cut_every=st.one_of(
+        st.none(), st.sampled_from([1, 2, 3]), st.integers(1, 50), st.integers(1, 5000)
+    ),
+    data=st.data(),
+)
+def test_stream_blocks_match_the_sieve(segment_size, cut_every, data):
+    # Every block is read off its window's flags, from the start (records
+    # below 30, where every pair of primes is a candidate) or seeded at p_k,
+    # and a cut splits a window's flags with or without a pending prime.
+    limit = data.draw(st.integers(3, min(250_000, 500 * segment_size)), "limit")
+    ref = primes_up_to(limit + 1000)
+    count = int(np.searchsorted(ref, limit, side="right"))
+    k = data.draw(st.one_of(st.just(0), st.integers(1, count - 1)), "seeded at")
+    running = np.maximum.accumulate(np.diff(ref))  # running[n - 1]: the record after row n
+    seed = _StreamSeed(k + 1, int(ref[k - 1]), int(running[k - 1])) if k else _StreamSeed()
+    blocks = list(GapBlockStream(limit, segment_size, cut_every, seed).blocks())
+    assert assert_blocks_match(blocks, ref, seed.gap_max) == count
+    assert blocks[0].first_n == k + 1
+    for b in blocks:
+        assert b.gap_bound == running[b.last_n - 1]
+        if cut_every:
+            assert (b.first_n - 1) // cut_every == (b.last_n - 1) // cut_every
 
 
 @settings(deadline=None, max_examples=200)

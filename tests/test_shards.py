@@ -394,8 +394,9 @@ REAL_CHECKS = tuple(CHECKS)  # the 8 registered checks
 def test_flag_blocks_give_the_results_of_listed_blocks(
     tmp_path_factory, limit, segment_size, interval, emit, k, above
 ):
-    # A run whose stream lists every window's primes (as if no gap above the
-    # record covered a whole word of flags) is the reference.  A synthetic
+    # A run whose stream takes every pair of consecutive primes as a record
+    # candidate (as if no gap above the record covered a whole word of flags)
+    # is the reference for the word-run search.  A synthetic
     # check fails on gaps above `above`, deciding blocks from their gap bound
     # first as the real ones do, so runs hold violations, their rows and
     # first offenders.
@@ -403,12 +404,12 @@ def test_flag_blocks_give_the_results_of_listed_blocks(
     gap_above = CheckDef("gap_above", "test-only", 1, lambda b: (
         np.zeros(len(b), dtype=bool) if b.gap_bound <= above else b.gaps > above))
     results = []
-    for listed in (False, True):
+    for every_pair in (False, True):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(verify, "_MIN_SHARD", 100)
             patch.setenv("PRIMEGAP_THREADS", str(k))
             patch.setitem(CHECKS, "gap_above", gap_above)
-            if listed:
+            if every_pair:
                 patch.setattr(gaps, "_words_above", lambda record: 0)
             config = RunConfig(limit, (*REAL_CHECKS, "gap_above"), segment_size,
                                str(path) if interval else None, interval or 1, emit)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -314,3 +315,11 @@ def test_sieve_threads_env(monkeypatch):
         sieve_threads()
     monkeypatch.delenv("PRIMEGAP_THREADS")
     assert sieve_threads() >= 1
+
+
+def test_sieve_threads_defaults_to_the_cpus_the_process_may_use(monkeypatch):
+    # pinned to 2 of 64 CPUs (taskset, a cpuset), a run forks 2 shards, not 64
+    monkeypatch.delenv("PRIMEGAP_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert sieve_threads() == 2

@@ -580,3 +580,22 @@ def test_a_default_run_to_1e8_lists_few_windows_primes(monkeypatch):
     assert summary.clean and summary.primes_processed == 5_761_455
     assert len(summary.maximal_records) == 25
     assert len(listed) <= 8, listed
+
+
+def test_a_checkpointed_run_to_1e8_lists_no_cut_windows_primes(monkeypatch, tmp_path):
+    # A checkpoint cut splits its window's flags at the prime after the
+    # multiple, so the five cuts to 1e8 list no primes: all 8 checks list the
+    # first window's and those where a record's margin settles.
+    monkeypatch.setenv("PRIMEGAP_THREADS", "1")
+    listed = []
+    flag_primes = gaps.flag_primes
+    monkeypatch.setattr(
+        gaps, "flag_primes", lambda first, flags: listed.append(first) or flag_primes(first, flags)
+    )
+    config = RunConfig(10**8, tuple(CHECKS), checkpoint_path=str(tmp_path / "run.ck"),
+                       checkpoint_interval=10**6)
+    summary = run_verification(config)
+    assert summary.clean and summary.primes_processed == 5_761_455
+    assert len(summary.maximal_records) == 25
+    assert read_checkpoint(tmp_path / "run.ck").last_n == 5_000_000  # the last multiple
+    assert len(listed) <= 7, listed
