@@ -12,8 +12,8 @@ Every block is read off the window's composite flags (row count, ends,
 record gaps), a checkpoint cut splits those flags, and a block's columns
 are built only when something reads them.  The stream keeps no primes
 beyond that window, so a block's margins are computed on demand
-(`Block.margins`, by `prime_pi_at`), and a verification run reads the few
-it stores where its stream passes p + n.  `gap_stream` flattens blocks
+(`Block.margins`, by `prime_pi_at`), and a verification run counts the few
+it stores off the block where its stream passes p + n.  `gap_stream` flattens blocks
 into per-prime records.
 """
 
@@ -81,7 +81,7 @@ class Block:
     no gap of the block exceeds: for a stream block the record after it,
     for a block of given columns, `Block(ns, ps, gaps, is_maximal)`, its
     largest gap.  The stream builds the columns ns, ps, gaps and is_maximal
-    only when one is read, and `margins` likewise.
+    only when one is read, and `margins` likewise; `pi_at` needs none.
     """
 
     __slots__ = ("first_n", "last_n", "first_p", "last_p", "next_p", "gap_bound", "records",
@@ -130,6 +130,19 @@ class Block:
 
     def __len__(self) -> int:
         return self.last_n - self.first_n + 1
+
+    def pi_at(self, targets: np.ndarray) -> np.ndarray:
+        """pi(t) for each of the ascending int64 `targets` in [first_p, next_p):
+        counted off the window's flags, or off `ps` once the columns are built."""
+        if self._source is None:
+            return self.first_n - 1 + np.searchsorted(self.ps, targets, side="right")
+        pending, first, flags = self._source
+        pis, at, pi = [], 0, self.first_n - 1 + (pending is not None)
+        for e in np.maximum((targets - first) // 2 + 1, 0).tolist():  # flags[:e] lie at or below t
+            pi += e - at - int(np.count_nonzero(flags[at:e]))
+            pis.append(pi)
+            at = e
+        return np.array(pis, dtype=np.int64)
 
     @property
     def margins(self) -> np.ndarray:
@@ -257,16 +270,14 @@ class GapBlockStream:
         # a record gap is above the record so far and above every candidate before it
         is_record = gaps > record
         is_record[1:] &= gaps[1:] > np.maximum.accumulate(gaps)[:-1]
-        n, at = n0 + (pending is not None), 0  # n: the index of the first prime flagged from `at`
-        for k in np.flatnonzero(is_record).tolist():
-            n += int(i[k]) - at - int(np.count_nonzero(flags[at : i[k]]))
-            at = int(i[k])
-            records.append((n, first + 2 * at, int(gaps[k])))
         ends = (n0, n0 + rows - 1, q1 if pending is None else pending, last_p, first + 2 * last)
         self._gap_max = int(gaps.max(initial=record))
         self._next_n += rows
         self._pending = ends[-1]
-        return Block._of_window(ends, self._gap_max, records, pending, first, flags)
+        block = Block._of_window(ends, self._gap_max, records, pending, first, flags)
+        ps = first + 2 * i[is_record]  # a record's index is pi of its prime
+        block.records += zip(block.pi_at(ps).tolist(), ps.tolist(), gaps[is_record].tolist())
+        return block
 
     def blocks(self) -> Iterator[Block]:
         """Yield blocks in order until every prime <= limit has been emitted."""

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# A default window's flags (1 MiB) fit a 2 MiB L2 cache (SHORT_WINDOW: see SegmentFeed).
+DEFAULT_SEGMENT_SIZE = 1 << 21
+SHORT_WINDOW = 1 << 16
 
 # A window holds one bool per odd integer, so this cap keeps it within 512 MiB.
 MAX_SEGMENT_SIZE = 1 << 30
@@ -32,8 +34,9 @@ PRIME_PI_MAX = 10**15
 
 THREADS_ENV_VAR = "PRIMEGAP_THREADS"
 
-# Odd base primes below this strike a window by slices, larger ones by one scatter.
+# Odd base primes below this strike a window by slices, larger ones by scatters.
 SMALL_PRIME_CUTOFF = 1 << 14
+RANK_CUTOFF = 1 << 15
 
 
 def _ceil_sqrt(num: int) -> int:
@@ -95,8 +98,8 @@ def sieve_flags(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     prime p >= 17 with p*p < hi then strikes its odd multiples from
     max(p*p, lo) on, a stride of p in that index.  Primes below
     SMALL_PRIME_CUTOFF strike by one slice each; the larger ones hit the
-    window a few times at most, so all their hits are built as one index
-    array and struck by one scatter.
+    window a few times at most.  Those below RANK_CUTOFF strike all their hits
+    by one scatter, the rest by one scatter per hit rank (32 in a default window).
 
     Raises ValueError if lo < 2, the window is empty, or `base` does not
     reach ceil(sqrt(hi - 1)).
@@ -129,13 +132,19 @@ def sieve_flags(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     start = np.maximum(odd * odd, (lo + odd - 1) // odd * odd)  # first multiple >= max(p*p, lo)
     start += odd * (1 - (start & 1))  # an even multiple steps on to the next, odd one
     idx = (start - first) >> 1
-    cut = np.searchsorted(odd, SMALL_PRIME_CUTOFF)
+    cut, far = np.searchsorted(odd, (SMALL_PRIME_CUTOFF, RANK_CUTOFF)).tolist()
     for p, i in zip(odd[:cut].tolist(), idx[:cut].tolist()):
         composite[i::p] = True
-    p, i = odd[cut:], idx[cut:]
+    p, i = odd[cut:far], idx[cut:far]
     hits = np.maximum(n - i + p - 1, 0) // p
-    rank = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)
-    composite[np.repeat(i, hits) + rank * np.repeat(p, hits)] = True
+    at = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # each hit's rank
+    at *= np.repeat(p, hits)  # in place, so that three index arrays at most are live
+    composite[at + np.repeat(i, hits)] = True
+    p, i = odd[far:], idx[far:]
+    while (hit := i < n).any():
+        p, i = p[hit], i[hit]
+        composite[i] = True
+        i += p
     return composite
 
 
@@ -293,7 +302,8 @@ def sieve_threads() -> int:
 
 class SegmentFeed:
     """Ordered windows [lo, hi) covering [start, ...) upward, each given as
-    its primes (`next_segment`) or its composite flags (`next_flags`).
+    its primes (`next_segment`) or its composite flags (`next_flags`), each
+    `segment_size` long, or SHORT_WINDOW at the default size below 2 * SHORT_WINDOW.
 
     Each window is sieved when it is asked for; base primes grow on demand
     as windows climb.
@@ -314,7 +324,8 @@ class SegmentFeed:
     def _advance(self) -> tuple[int, int]:
         """The next window's [lo, hi), with base primes grown to cover it."""
         lo = self._next_lo
-        hi = lo + self.segment_size
+        short = self.segment_size == DEFAULT_SEGMENT_SIZE and lo < 2 * SHORT_WINDOW
+        hi = lo + (SHORT_WINDOW if short else self.segment_size)
         if hi > MAX_LIMIT:
             raise OverflowError(f"segment end {hi} exceeds supported maximum {MAX_LIMIT}")
         if not self._base.covers(hi):

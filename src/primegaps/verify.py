@@ -69,6 +69,16 @@ def _gap_check(b: bounds.Bound) -> CheckDef:
     return CheckDef(b.name, b.description, first, violations)
 
 
+def _theorem1_violations(block: Block) -> np.ndarray:
+    """The rows with gap > n, read only when a record exceeds its index or a gap before
+    the first record may exceed first_n (no gap exceeds the record at or before it)."""
+    recs = block.records
+    before = recs[0][2] if recs else block.gap_bound  # bounds the gaps before recs[0]
+    if before > block.first_n or any(gap > n for n, _, gap in recs):
+        return block.gaps > block.ns
+    return np.zeros(len(block), dtype=bool)
+
+
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in (
@@ -76,10 +86,7 @@ CHECKS: dict[str, CheckDef] = {
             "theorem1",
             "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
             1,
-            # p_(n+1) = p_n + gap, so (p_n, p_n + n] holds a prime (margin >= 1) iff gap <= n;
-            # no gap of the block exceeds gap_bound, nor any n is below first_n
-            lambda block: (np.zeros(len(block), dtype=bool) if block.gap_bound <= block.first_n
-                           else block.gaps > block.ns),
+            _theorem1_violations,
         ),
         *map(_gap_check, bounds.GAP_BOUNDS),
     )
@@ -315,7 +322,7 @@ def read_checkpoint(path: str | Path) -> Checkpoint:
 # --------------------------------------------------------------------------
 # the run engine
 
-# A run is cut into shards of at least this many integers (four default windows).
+# A run is cut into shards of at least this many integers (four default windows, 8.4e6).
 _MIN_SHARD = 4 * DEFAULT_SEGMENT_SIZE
 
 
@@ -344,12 +351,12 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
     multiple of the checkpoint interval (see _at_multiple).
 
     A stored or sunk row waits, in index order, for its margin pi(p + n) - n:
-    it is read off the first block whose successor passes p + n, or, at a
-    multiple of the interval and at the end, from prime_pi_at.  Under
-    emit="all", `sink` gets every row with its margins, counted on from the
-    last target of the block before.  The rows kept are a block's records,
-    so its columns are read only where a check fails, a margin settles or
-    every row is emitted.
+    it is counted off the flags of the first block whose successor passes
+    p + n (Block.pi_at), or, at a multiple of the interval and at the end,
+    from prime_pi_at.  Under emit="all", `sink` gets every row with its
+    margins, counted on from the last target of the block before.  The rows
+    kept are a block's records, so its columns are read only where a check
+    fails or every row is emitted.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(state.last_n + 1, state.last_p, state.gap_max)
@@ -405,7 +412,7 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
         # the block holds every prime from p_(first_n) up to its successor next_p
         ready = int(np.searchsorted(ts, block.next_p))
         if ready:
-            settle(block.first_n - 1 + np.searchsorted(block.ps, ts[:ready], side="right"))
+            settle(block.pi_at(ts[:ready]))
         state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, block.gap_bound
         if waiting and _at_multiple(config, state):
             settle(prime_pi_at(ts[ready:]))

@@ -626,7 +626,7 @@ def test_table1_cli_resume_rejects_forged_checkpoint(tmp_path, capsys, monkeypat
 def test_checkpointed_verify_and_resume_at_real_size_do_not_depend_on_workers(
     tmp_path, capsys, monkeypatch
 ):
-    # 2e7 and the resume from p_(1e6) to 3e7 each span two default shards, so the
+    # 2e7 and the resume from p_(1e6) to 3.4e7 each span two default shards, so the
     # ambient worker count shards both legs; PRIMEGAP_THREADS=1 runs them in one process
     checks = ",".join(CHECKS)  # all 8
     path = tmp_path / "verify.ck"
@@ -635,7 +635,7 @@ def test_checkpointed_verify_and_resume_at_real_size_do_not_depend_on_workers(
     def legs() -> tuple:
         code1, out1, _ = run_cli(capsys, *argv, "--limit", "20000000")
         ck1 = path.read_bytes()
-        code2, out2, _ = run_cli(capsys, *argv, "--limit", "30000000", "--resume")
+        code2, out2, _ = run_cli(capsys, *argv, "--limit", "34000000", "--resume")
         ck2 = path.read_bytes()
         path.unlink()
         assert (code1, code2) == (EXIT_OK, EXIT_OK)
@@ -644,7 +644,7 @@ def test_checkpointed_verify_and_resume_at_real_size_do_not_depend_on_workers(
     ambient = legs()
     monkeypatch.setenv("PRIMEGAP_THREADS", "1")
     assert legs() == ambient
-    code, full, _ = run_cli(capsys, "verify", "--checks", checks, "--limit", "30000000")
+    code, full, _ = run_cli(capsys, "verify", "--checks", checks, "--limit", "34000000")
 
     def summary(out: str) -> list[str]:
         return [line for line in out.splitlines() if line.startswith("# ")]

@@ -319,6 +319,52 @@ def test_stream_blocks_match_the_sieve(segment_size, cut_every, data):
             assert (b.first_n - 1) // cut_every == (b.last_n - 1) // cut_every
 
 
+def assert_pi_at_matches(blocks, ref, rng) -> set:
+    """Check each block's flag-counted pi at its ends first_p and next_p - 1
+    and a few targets between against `searchsorted` on its columns and on
+    `ref`.  Returns the kinds of block seen: has a pending prime or not."""
+    kinds = set()
+    for b in blocks:
+        inner = rng.integers(b.first_p, b.next_p, size=3)
+        ts = np.unique(np.r_[b.first_p, b.next_p - 1, inner]).astype(np.int64)
+        kinds.add(b._source[0] is not None)
+        by_flags = b.pi_at(ts).tolist()
+        assert b._columns is None  # counted without listing the window's primes
+        by_columns = (b.first_n - 1 + np.searchsorted(b.ps, ts, side="right")).tolist()
+        assert by_flags == by_columns == np.searchsorted(ref, ts, side="right").tolist()
+        assert b.pi_at(ts).tolist() == by_flags  # and off the columns, once built
+    return kinds
+
+
+def test_pi_counted_off_the_flags_with_and_without_a_pending_prime():
+    # From 2, each window's first block starts with the last prime of the
+    # window before (pending); the second half of a cut window has none.
+    blocks = list(GapBlockStream(200_000, 1 << 14, 3000).blocks())
+    assert sum(b.first_n % 3000 == 1 for b in blocks) > 5  # blocks after a cut
+    kinds = assert_pi_at_matches(blocks, primes_up_to(201_000), np.random.default_rng(3))
+    assert kinds == {True, False}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    segment_size=st.sampled_from([7, 20, 64, 1000, 1 << 14, 1 << 21]),
+    cut_every=st.one_of(st.none(), st.integers(1, 50), st.integers(1, 5000)),
+    data=st.data(),
+)
+def test_pi_counted_off_a_blocks_flags_is_the_sieves(segment_size, cut_every, data):
+    # A waiting row's margin is counted off the flags of the block its target
+    # lies in: from the start or seeded at p_k (no pending prime), in blocks
+    # split by a cut, and in windows shorter than a gap.
+    limit = data.draw(st.integers(3, min(250_000, 500 * segment_size)), "limit")
+    ref = primes_up_to(limit + 1000)
+    count = int(np.searchsorted(ref, limit, side="right"))
+    k = data.draw(st.one_of(st.just(0), st.integers(1, count - 1)), "seeded at")
+    gap_max = int(np.diff(ref[: k + 1]).max(initial=0))
+    seed = _StreamSeed(k + 1, int(ref[k - 1]), gap_max) if k else _StreamSeed()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "targets"))
+    assert_pi_at_matches(GapBlockStream(limit, segment_size, cut_every, seed).blocks(), ref, rng)
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     # mostly set flags (composites), so long runs are common

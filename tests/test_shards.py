@@ -75,6 +75,15 @@ def test_cut_points(shards):
     assert verify._shard_cuts(ck, 1) == cuts(AT_PRIME)
 
 
+def test_a_shard_spans_at_least_four_default_windows(monkeypatch):
+    # 4 * 2**21 = 8 388 608 integers, so two workers cut a range in two only
+    # from twice that on
+    monkeypatch.setenv("PRIMEGAP_THREADS", "2")
+    assert verify._MIN_SHARD == 4 * sieve.DEFAULT_SEGMENT_SIZE == 8_388_608
+    assert cuts(2 * 8_388_608) == [1, 2 * 8_388_608]
+    assert cuts(1 + 2 * 8_388_608) == [1, 1 + 8_388_608, 1 + 2 * 8_388_608]
+
+
 @pytest.mark.parametrize("emit, min_shard", [("all", 100), ("maximal", AT_PRIME // 2)])
 def test_a_run_starts_no_thread(shards, monkeypatch, emit, min_shard):
     # one shard streaming every row, and two shards for four workers
@@ -229,8 +238,8 @@ def test_no_child_is_left_after_a_sink_raises(shards, monkeypatch, exc, where):
 
 
 def test_header_written_before_the_fork_appears_once():
-    # 9e6 is two default shards of _MIN_SHARD integers, so the subprocess shards unpatched
-    argv = [sys.executable, "-m", "primegaps", "verify", "--limit", "9000000"]
+    # 1.7e7 is two default shards of _MIN_SHARD integers, so the subprocess shards unpatched
+    argv = [sys.executable, "-m", "primegaps", "verify", "--limit", "17000000"]
 
     def run(threads: str) -> str:
         env = dict(os.environ, PRIMEGAP_THREADS=threads)

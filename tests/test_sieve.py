@@ -290,6 +290,27 @@ def test_segment_feed_from_offset_start():
     assert primes.tolist() == all_primes[all_primes >= 1000].tolist()
 
 
+def test_a_default_feed_starts_with_short_windows():
+    # At the default size, windows that start below 2**17 are 2**16 long and
+    # the rest 2**21; an explicit size, or a default feed that starts at 2**17
+    # or above, gives windows of that size from the first.
+    def spans(feed: SegmentFeed, count: int) -> list[tuple[int, int]]:
+        """(lo, hi - lo) of the feed's next `count` windows."""
+        return [(lo, hi - lo) for lo, hi, _ in (feed.next_flags() for _ in range(count))]
+
+    assert DEFAULT_SEGMENT_SIZE == 1 << 21
+    los = [2, 2 + 2**16, 2 + 2**17, 2 + 2**17 + 2**21]
+    assert spans(SegmentFeed(), 4) == list(zip(los, [2**16, 2**16, 2**21, 2**21]))
+    with SegmentFeed() as feed:
+        primes = np.concatenate([feed.next_segment()[2] for _ in range(3)])
+    assert primes.tolist() == primes_up_to(los[3] - 1).tolist()
+    below = 2**17 - 1
+    assert spans(SegmentFeed(start=below), 2) == [(below, 2**16), (below + 2**16, 2**21)]
+    assert spans(SegmentFeed(start=2**17), 1) == [(2**17, 2**21)]
+    for size in (1000, 1 << 16, 1 << 20):
+        assert spans(SegmentFeed(segment_size=size), 3) == [(2 + k * size, size) for k in range(3)]
+
+
 def test_segment_feed_sieves_on_one_thread():
     with pytest.raises(ValueError, match="one thread"):
         SegmentFeed(threads=2)

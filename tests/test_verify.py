@@ -216,6 +216,25 @@ def test_theorem1_decides_on_the_gap_alone():
         assert block._margins is None  # deciding it computed no margin
 
 
+def test_theorem1_is_decided_from_a_blocks_records():
+    # Seeded blocks whose record flags are the running records after a gap
+    # before the block: rows fail at a record, only at rows that are none (as
+    # before the first record), or nowhere.  The verdict is that of every row.
+    rng = np.random.default_rng(21)
+    arr = lambda v: np.asarray(v, dtype=np.int64)
+    seen = set()
+    for _ in range(400):
+        n0, size = int(rng.integers(1, 40)), int(rng.integers(1, 8))
+        ns = np.arange(n0, n0 + size)
+        gaps = rng.integers(1, n0 + size + 4, size)
+        before = np.maximum.accumulate(np.r_[rng.integers(0, n0 + 4), gaps])[:-1]
+        block = Block(arr(ns), arr(100 + 200 * ns), arr(gaps), gaps > before)
+        verdict = CHECKS["theorem1"].violations(block)
+        assert verdict.tolist() == (gaps > ns).tolist(), (ns, gaps, before)
+        seen.add((bool(verdict.any()), bool((verdict & (gaps > before)).any())))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
 @pytest.mark.parametrize("seeded_at", [None, 700])
 def test_theorem1_flags_the_rows_whose_window_is_empty(seeded_at):
     # margin < 1 and gap > n flag the same rows, so the gap-only check equals
@@ -566,10 +585,11 @@ def test_reproduce_table1_resume_matches_direct(tmp_path):
 
 
 def test_a_default_run_to_1e8_lists_few_windows_primes(monkeypatch):
-    # Records are read off the sieve's flags and every check is decided from a
-    # block's first index and prime and its gap bound, so a window's primes
-    # are listed only in the first window (records below 30) and where a
-    # record's margin settles.  A fallback to listing every window fails here.
+    # Records are read off the sieve's flags, every check is decided from a
+    # block's first index and prime, its records and its gap bound, and a
+    # waiting record's margin is counted off the flags, so a window's primes
+    # are listed only in the first window, whose gap checks go row by row.
+    # A fallback to listing every window fails here.
     monkeypatch.setenv("PRIMEGAP_THREADS", "1")
     listed = []
     flag_primes = gaps.flag_primes
@@ -584,8 +604,8 @@ def test_a_default_run_to_1e8_lists_few_windows_primes(monkeypatch):
 
 def test_a_checkpointed_run_to_1e8_lists_no_cut_windows_primes(monkeypatch, tmp_path):
     # A checkpoint cut splits its window's flags at the prime after the
-    # multiple, so the five cuts to 1e8 list no primes: all 8 checks list the
-    # first window's and those where a record's margin settles.
+    # multiple, so the five cuts to 1e8 list no primes: all 8 checks list
+    # only the first window's.
     monkeypatch.setenv("PRIMEGAP_THREADS", "1")
     listed = []
     flag_primes = gaps.flag_primes
@@ -599,3 +619,21 @@ def test_a_checkpointed_run_to_1e8_lists_no_cut_windows_primes(monkeypatch, tmp_
     assert len(summary.maximal_records) == 25
     assert read_checkpoint(tmp_path / "run.ck").last_n == 5_000_000  # the last multiple
     assert len(listed) <= 7, listed
+
+
+def test_a_theorem1_run_builds_no_columns(monkeypatch):
+    # theorem1 is decided from each block's records, and every record's
+    # margin is counted off a block's flags or settled by prime_pi_at at the
+    # end, so no block lists its window's primes, not even the first.
+    monkeypatch.setenv("PRIMEGAP_THREADS", "1")
+    listed = []
+    flag_primes = gaps.flag_primes
+    monkeypatch.setattr(
+        gaps, "flag_primes", lambda first, flags: listed.append(first) or flag_primes(first, flags)
+    )
+    summary = run_verification(RunConfig(10**7, ("theorem1",)))
+    assert summary.clean and summary.primes_processed == 664_579
+    expected = [(n, p, gap, margin) for n, p, gap, starred, margin, _ in TABLE1_REFERENCE
+                if starred and p < 10**7]
+    assert [(r.n, r.p, r.gap, r.theorem1_margin) for r in summary.maximal_records] == expected
+    assert listed == []
