@@ -190,15 +190,22 @@ def prime_pi(x: int) -> int:
     S(v // p) - S(p - 1), the survivors in [p, v // p].  Afterwards
     S(x) = pi(x).  ``small[v]`` holds S(v) for v <= r = isqrt(x) and
     ``large[i]`` holds S(x // i).  Once the primes up to isqrt(r) have
-    struck, small[v] = pi(v), so the primes in (isqrt(r), r] are read off
-    it and strike ``large`` alone.  Independent of the segmented sieve.
+    struck, small[v] = pi(v), so the primes in (isqrt(r), c], c the integer
+    cube root of x, are read off it and strike ``large`` alone.  Then for
+    each prime p in (c, r], large[p] = S(x // p) is final, as only primes
+    up to sqrt(x / p) < x^(1/3) strike it, and p strikes large[i] only for
+    i <= x / p^2 < x^(1/3): of the entries still read, it lowers large[1]
+    alone, by large[p] - small[p - 1].  So these primes, the P2 term of
+    Meissel-Lehmer (Lagarias, Miller & Odlyzko, Math. Comp. 44, 1985),
+    come off large[1] in one sum.  Independent of the segmented sieve.
     Raises OverflowError for x > PRIME_PI_MAX, before allocating anything.
     """
     if x < 2:
         return 0
     if x > PRIME_PI_MAX:
         raise OverflowError(f"pi(x) is computed for x <= {PRIME_PI_MAX}, got {x}")
-    r, s = math.isqrt(x), math.isqrt(math.isqrt(x))
+    r, s, c = math.isqrt(x), math.isqrt(math.isqrt(x)), round(x ** (1 / 3))
+    c -= c**3 > x  # the floor of the cube root: the float root errs by far less than 1/2
     q = x // np.arange(1, r + 1, dtype=np.int64)  # q[i - 1] = x // i
     small = np.arange(-1, r, dtype=np.int64)
     large = np.concatenate(([0], q - 1))  # large[0] is unused
@@ -217,9 +224,10 @@ def prime_pi(x: int) -> int:
             continue  # p was struck: composite
         below = strike_large(p)
         small[p * p :] -= small[np.arange(p * p, r + 1, dtype=np.int64) // p] - below
-    for p in (s + 1 + np.flatnonzero(np.diff(small[s:]))).tolist():
+    for p in (s + 1 + np.flatnonzero(np.diff(small[s : c + 1]))).tolist():
         strike_large(p)
-    return int(large[1])
+    top = c + 1 + np.flatnonzero(np.diff(small[c:]))  # the primes in (c, r]
+    return int(large[1] - (large[top] - small[top - 1]).sum())
 
 
 def prime_pi_at(targets: np.ndarray, known: tuple[int, int] | None = None) -> np.ndarray:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -435,42 +437,50 @@ def _shard_cuts(config: RunConfig, x0: int) -> list[int]:
     return [x0 + (config.limit - x0) * i // k for i in range(k + 1)]
 
 
-def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, conn) -> None:
-    """Run shard (lo, hi] in a forked child and send its result or a ShardError.
+def _shard_child(config: RunConfig, lo: int, hi: int, keep_rows: bool, fd: int) -> None:
+    """Run shard (lo, hi] in a forked child and pickle its result or a ShardError to `fd`.
 
     The shard starts after index n0 = pi(lo) with zero counters, so its
     records are local ones.  The result is (n0, state, rows, last), where
     last is a copy of the state at the shard's last multiple of the
-    checkpoint interval (None without one).  The child leaves by os._exit: it
-    never flushes the stdout buffers it inherited.
+    checkpoint interval (None without one).  The child leaves by os._exit on
+    every path, BaseException included: it never returns into the parent's
+    run, nor flushes the stdout buffers it inherited.
     """
     code = 1
     try:
-        n0 = prime_pi(lo)
-        state = _fresh(config, n0, lo)
-        held: list[GapRecord] = []
-        last = None
+        try:
+            n0 = prime_pi(lo)
+            state = _fresh(config, n0, lo)
+            held: list[GapRecord] = []
+            last = None
 
-        def keep(s: Checkpoint) -> None:
-            nonlocal last
-            if _at_multiple(config, s):
-                last = s.copy()
+            def keep(s: Checkpoint) -> None:
+                nonlocal last
+                if _at_multiple(config, s):
+                    last = s.copy()
 
-        _scan(config, state, hi, held.append if keep_rows else None, keep)
-        conn.send((n0, state, held, last))
-        code = 0
-    except Exception as exc:
-        conn.send(ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}"))
+            _scan(config, state, hi, held.append if keep_rows else None, keep)
+            result = (n0, state, held, last)
+        except Exception as exc:
+            result = ShardError(f"shard ({lo}, {hi}] failed: {type(exc).__name__}: {exc}")
+        with open(fd, "wb") as out:
+            pickle.dump(result, out)
+        code = int(isinstance(result, ShardError))
     finally:
         os._exit(code)
 
 
-def _receive(conn):
-    """A shard child's result; raises the ShardError it sent, or one if it sent nothing."""
-    try:
-        got = conn.recv()
-    except EOFError:
-        raise ShardError("a shard process exited without its result") from None
+def _receive(fd: int):
+    """A shard child's result, read to EOF.
+
+    Raises the ShardError the child sent, or one if it sent nothing.
+    """
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    if not data:
+        raise ShardError("a shard process exited without its result")
+    got = pickle.loads(data)
     if isinstance(got, ShardError):
         raise got
     return got
@@ -536,27 +546,25 @@ def run_verification(
         if _at_multiple(config, s):
             write_checkpoint(config.checkpoint_path, s)
         if not config.checkpoint_path:  # no later work is saved: stop on a failed child now
-            for _, _, proc, conn in shards:
-                if proc.exitcode:  # its ShardError, or nothing if it died, is in the pipe
-                    _receive(conn)
+            for shard in shards:
+                if shard[2] and (done := os.waitpid(shard[2], os.WNOHANG))[0]:
+                    shard[2] = 0  # reaped
+                    if done[1]:  # its ShardError, or nothing if it died, is in the pipe
+                        _receive(shard[3])
 
     cuts = _shard_cuts(config, state.last_p)
-    shards = []
+    shards = []  # [lo, hi, pid (0 once reaped), read end of its pipe]
     try:
-        if len(cuts) > 2:
-            import multiprocessing  # here, so a one-shard run never imports it
-
-            fork = multiprocessing.get_context("fork")
-            for lo, hi in zip(cuts[1:], cuts[2:]):
-                conn, child_end = fork.Pipe(duplex=False)
-                args = (config, lo, hi, sink is not None, child_end)
-                proc = fork.Process(target=_shard_child, args=args, daemon=True)
-                proc.start()
-                shards.append((lo, hi, proc, conn))
-                child_end.close()
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _shard_child(config, lo, hi, sink is not None, w)  # leaves by os._exit
+            os.close(w)
+            shards.append([lo, hi, pid, r])
         _scan(config, state, cuts[1], sink, after_block)
-        for lo, hi, proc, conn in shards:
-            n0, shard, rows, last = _receive(conn)
+        for lo, hi, _, fd in shards:
+            n0, shard, rows, last = _receive(fd)
             if state.last_n != n0:
                 raise ShardError(
                     f"shard ({lo}, {hi}] starts after index {n0} "
@@ -568,11 +576,11 @@ def run_verification(
                 write_checkpoint(config.checkpoint_path, at_last)
             _merge(state, shard, rows, config.emit, sink)
     finally:
-        for _, _, proc, conn in shards:
-            conn.close()
-            if proc.is_alive():
-                proc.terminate()
-            proc.join()
+        for _, _, pid, fd in shards:
+            os.close(fd)
+            if pid and not os.waitpid(pid, os.WNOHANG)[0]:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
     counts, firsts = state.violation_counts, state.first_violations
     stats = tuple(
         CheckStats(name, CHECKS[name].applied_count(state.last_n), counts[name], firsts.get(name))

@@ -1,4 +1,4 @@
-import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -9,12 +9,18 @@ from primegaps.sieve import is_prime_oracle, primes_up_to
 ORACLE_COVER = 110_600  # covers p + n for every prime p <= 100_000
 
 
+def assert_no_children() -> None:
+    """This process has no child, running or unreaped: waitpid finds none to wait for."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(autouse=True)
 def one_thread_no_children():
     """Shard processes are a run's only parallelism, and none outlives its run."""
     yield
     assert threading.active_count() == 1, threading.enumerate()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.fixture(scope="session")

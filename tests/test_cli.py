@@ -626,30 +626,35 @@ def test_table1_cli_resume_rejects_forged_checkpoint(tmp_path, capsys, monkeypat
 def test_checkpointed_verify_and_resume_at_real_size_do_not_depend_on_workers(
     tmp_path, capsys, monkeypatch
 ):
-    # 2e7 and the resume from p_(1e6) to 3.4e7 each span two default shards, so the
-    # ambient worker count shards both legs; PRIMEGAP_THREADS=1 runs them in one process
+    # 2e7 and the resume from p_(1e6) to 3.4e7 each span two default shards, so two
+    # workers shard both legs; PRIMEGAP_THREADS=1 runs them in one process
     checks = ",".join(CHECKS)  # all 8
     path = tmp_path / "verify.ck"
     argv = ["verify", "--checks", checks, "--checkpoint", str(path), "--interval", "1000000"]
 
-    def legs() -> tuple:
+    def legs(shards: int) -> tuple:
+        config = RunConfig(20_000_000, tuple(CHECKS), checkpoint_path=str(path))
+        assert len(verify._shard_cuts(config, 1)) == shards + 1
         code1, out1, _ = run_cli(capsys, *argv, "--limit", "20000000")
         ck1 = path.read_bytes()
+        config = dataclasses.replace(config, limit=34_000_000)
+        assert len(verify._shard_cuts(config, read_checkpoint(path).last_p)) == shards + 1
         code2, out2, _ = run_cli(capsys, *argv, "--limit", "34000000", "--resume")
         ck2 = path.read_bytes()
         path.unlink()
         assert (code1, code2) == (EXIT_OK, EXIT_OK)
         return out1, ck1, out2, ck2
 
-    ambient = legs()
+    monkeypatch.setenv("PRIMEGAP_THREADS", "2")
+    sharded = legs(2)
     monkeypatch.setenv("PRIMEGAP_THREADS", "1")
-    assert legs() == ambient
+    assert legs(1) == sharded
     code, full, _ = run_cli(capsys, "verify", "--checks", checks, "--limit", "34000000")
 
     def summary(out: str) -> list[str]:
         return [line for line in out.splitlines() if line.startswith("# ")]
 
-    assert code == EXIT_OK and summary(ambient[2]) == summary(full)
+    assert code == EXIT_OK and summary(sharded[2]) == summary(full)
 
 
 def test_table1_cli_resume_flag_requires_checkpoint(capsys):

@@ -6,7 +6,6 @@ synthetic CHECKS entries, patched functions).
 """
 
 import dataclasses
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_children
 from primegaps import gaps, sieve, verify
 from primegaps.cli import EXIT_ERROR, EXIT_FINDING, EXIT_OK, RECORD_CSV_HEADER, main
 from primegaps.gaps import GapRecord
@@ -168,7 +168,7 @@ def test_violations_and_first_violations_in_later_shards(shards, monkeypatch):
 def test_no_child_is_left_after_a_clean_run(shards):
     shards(3)
     assert run_verification(RunConfig(limit=AT_PRIME)).clean
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_child_that_raises_gives_one_error_line(capsys, shards, monkeypatch):
@@ -182,7 +182,7 @@ def test_child_that_raises_gives_one_error_line(capsys, shards, monkeypatch):
     assert code == EXIT_ERROR
     assert err.count("\n") == 1 and err.startswith("error: shard (29989, 59977] failed")
     assert "RuntimeError: no count today" in err and "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_shard_start_past_the_pi_range_gives_one_error_line(capsys, shards, monkeypatch):
@@ -234,16 +234,26 @@ def test_no_child_is_left_after_a_sink_raises(shards, monkeypatch, exc, where):
     with pytest.raises(exc):
         run_verification(RunConfig(limit=AT_PRIME), sink=sink)
     assert time.monotonic() - t0 < 30  # busy children are stopped, not waited for
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
-def test_header_written_before_the_fork_appears_once():
+def buffered_env(threads: str) -> dict[str, str]:
+    """The environment with `threads` workers and stdout block-buffered, as on a pipe:
+    a header written before a fork then sits in the buffer the child inherits."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, PRIMEGAP_THREADS=threads)
+
+
+def test_header_written_before_the_fork_appears_once(monkeypatch):
     # 1.7e7 is two default shards of _MIN_SHARD integers, so the subprocess shards unpatched
+    monkeypatch.setenv("PRIMEGAP_THREADS", "2")
+    assert len(verify._shard_cuts(RunConfig(limit=17_000_000), 1)) == 3
     argv = [sys.executable, "-m", "primegaps", "verify", "--limit", "17000000"]
 
     def run(threads: str) -> str:
-        env = dict(os.environ, PRIMEGAP_THREADS=threads)
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run(
+            argv, env=buffered_env(threads), capture_output=True, text=True, timeout=120
+        )
         assert proc.returncode == EXIT_OK, proc.stderr
         return proc.stdout
 
@@ -251,6 +261,24 @@ def test_header_written_before_the_fork_appears_once():
     assert sharded.count(RECORD_CSV_HEADER) == 1
     assert sharded == run("1")
 
+
+def test_child_that_exits_by_system_exit_gives_one_error_line():
+    # a SystemExit in the child must not leave through the parent's frames, which
+    # would flush the header the child inherited (or run the parent's shard again)
+    script = (
+        "import sys\n"
+        "from primegaps import cli, verify\n"
+        "def leave(x):\n"
+        "    raise SystemExit(0)\n"
+        "verify._MIN_SHARD = 100\n"
+        "verify.prime_pi = leave  # only shard children call it\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    argv = [sys.executable, "-c", script, "verify", "--limit", str(AT_PRIME)]
+    proc = subprocess.run(argv, env=buffered_env("2"), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout.count(RECORD_CSV_HEADER) == 1
+    assert proc.stderr == "error: a shard process exited without its result\n"
 
 
 # (limit, interval, K, the shard holding the run's last multiple of the interval)
@@ -356,7 +384,7 @@ def test_child_that_fails_leaves_the_last_merged_checkpoint(capsys, monkeypatch,
     code, _, err = cli_out(capsys, argv)
     assert code == EXIT_ERROR and err.count("\n") == 1
     assert err.startswith(f"error: shard ({cuts(AT_PRIME)[2]}, 59977] failed: RuntimeError: disk")
-    assert multiprocessing.active_children() == []
+    assert_no_children()
     assert [f.name for f in tmp_path.iterdir()] == ["run.ck"]  # no *.tmp left
     ck = verify.read_checkpoint(path)
     assert ck.last_n == 4000
@@ -385,7 +413,7 @@ def test_shard_that_does_not_continue_the_index_gives_one_error_line(capsys, mon
         f"error: shard (29989, 59977] starts after index {n0 + 1} "
         f"but the shards before it end at index {n0}\n"
     )
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 REAL_CHECKS = tuple(CHECKS)  # the 8 registered checks

@@ -198,14 +198,17 @@ def test_prime_pi_matches_prime_count_below_2000():
 def test_prime_pi_matches_sieve_counts():
     # Around each square p^2 (p < 3000) the strike of p starts, around m^2
     # isqrt(x) steps, around m^4 isqrt(isqrt(x)) steps (where prime_pi's two
-    # loops split), and at 50 seeded points up to 1e7; the reference counts
-    # come from the segmented sieve, which shares no code with prime_pi.
+    # loops split), around m^3 the integer cube root steps (where a prime
+    # moves from striking to the closing sum, prime cubes included), and at
+    # 50 seeded points up to 1e7; the reference counts come from the
+    # segmented sieve, which shares no code with prime_pi.
     ref = primes_up_to(13_000_000)
     base = ref[ref < 3000].tolist()
     rng = np.random.default_rng(20)
     xs = [p * p + d for p in base for d in (-1, 0, 1)]
     xs += [m**2 + d for m in range(2, 401) for d in (-1, 0, 1)]
     xs += [m**4 + d for m in range(2, 61) for d in (-1, 0, 1)]
+    xs += [m**3 + d for m in range(2, 231) for d in (-1, 0, 1)]
     xs += rng.integers(0, 10**7, size=50, endpoint=True).tolist()
     assert [prime_pi(x) for x in xs] == np.searchsorted(ref, xs, side="right").tolist()
     assert prime_pi(8_999_999) == np.searchsorted(ref, 8_999_999, side="right")
@@ -214,6 +217,7 @@ def test_prime_pi_matches_sieve_counts():
 def test_prime_pi_anchors_and_domain():
     assert prime_pi(436_273_009) == 23_163_298  # the last reference-table row
     assert prime_pi(10**9) == 50_847_534
+    assert prime_pi(10**10) == 455_052_511
     assert prime_pi(-7) == 0
     for x in (PRIME_PI_MAX + 1, MAX_LIMIT + 1):  # refused before any O(sqrt(x)) array
         with pytest.raises(OverflowError, match=f"x <= {PRIME_PI_MAX}, got {x}"):
