@@ -3,10 +3,10 @@
 ``log`` is the natural logarithm throughout.  Every inequality is one `Bound`
 in `GAP_BOUNDS` (the gap after the prime x) or `COUNT_BOUNDS` (pi(x)).  Its
 expression is written once, as a function of x and a backend: `MATH` for
-printed values, `NUMPY` for blocks of primes, `MPMATH` for re-decisions.
+printed values, `NUMPY` for blocks of primes, `DECIMAL` for re-decisions.
 A bound with an `exact` rule is decided in integer arithmetic.  Any other is
 compared in floats; when the two sides agree to within 1e-9 (relative) the
-comparison is re-decided in 50-digit arithmetic and flagged marginal.
+comparison is re-decided in 50-digit `decimal` arithmetic and flagged marginal.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
-import mpmath
 import numpy as np
 
 from .sieve import prime_pi
@@ -28,7 +28,7 @@ CHAIN_MIN_P = 60184  # chain stages valid for p strictly above this
 # gap that meets a bound at p >= 8 meets it at every later prime, as does a smaller one.
 GAP_BOUNDS_RISE_FROM = 8
 MARGINAL_RTOL = 1e-9
-_RECHECK_DPS = 50
+_RECHECK_DIGITS = 50  # significant digits of a near-tie re-decision
 
 
 class Backend(NamedTuple):
@@ -41,9 +41,9 @@ class Backend(NamedTuple):
 
 MATH = Backend(math.log, math.sqrt, float)
 NUMPY = Backend(np.log, np.sqrt, float)
-# Constants are parsed at the working precision: mpf("1.1") is decimal 1.1,
-# not the binary float nearest to it.
-MPMATH = Backend(mpmath.log, mpmath.sqrt, mpmath.mpf)
+# Constants are exact decimals: Decimal("1.1") is 1.1, not the binary float
+# nearest to it.  Evaluate under a context of _RECHECK_DIGITS digits.
+DECIMAL = Backend(lambda v: Decimal(v).ln(), lambda v: Decimal(v).sqrt(), Decimal)
 
 
 def is_marginal(observed, bound):
@@ -86,14 +86,14 @@ class Bound:
         return float(self.value(x, MATH))
 
     def decide(self, x: int, observed: int) -> tuple[bool, bool]:
-        """(holds, marginal) at one point; marginal means re-decided at 50 digits."""
+        """(holds, marginal) at one point; marginal means re-decided in 50-digit decimals."""
         if self.exact is not None:
             return bool(self.exact(x, observed)), False
         bound = self.at(x)
         if not is_marginal(observed, bound):
             return bool(self.op(observed, bound)), False
-        with mpmath.workdps(_RECHECK_DPS):
-            return bool(self.op(mpmath.mpf(observed), self.value(x, MPMATH))), True
+        with localcontext(Context(prec=_RECHECK_DIGITS)):
+            return bool(self.op(observed, self.value(x, DECIMAL))), True
 
     def holds_many(self, xs: np.ndarray, observed: np.ndarray) -> np.ndarray:
         """Vector decision over int64 arrays; near ties go to the scalar decision."""

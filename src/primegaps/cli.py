@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from . import bounds
@@ -134,7 +135,10 @@ def cmd_gaps(args: argparse.Namespace) -> int:
 
 
 def _resume_start(args: argparse.Namespace, config: RunConfig) -> Checkpoint | None:
-    """The checked checkpoint a --resume run starts from (None for a fresh run)."""
+    """The checked checkpoint a --resume run starts from (None for a fresh run).
+    A checkpoint path in a missing directory is refused as well, before any output."""
+    if not os.path.isdir(directory := os.path.dirname(args.checkpoint or "") or "."):
+        raise FileNotFoundError(f"checkpoint directory {directory} does not exist")
     if not args.resume:
         return None
     checkpoint = read_checkpoint(args.checkpoint)

@@ -52,44 +52,39 @@ class CheckDef:
         return max(0, last_n - (self.first_index - 1))
 
 
-def _gap_check(b: bounds.Bound) -> CheckDef:
-    """The check of one gap bound: the rows where it applies and fails.
+def _check(name: str, description: str, first_index: int, holds: Callable[[int, int, int], bool],
+           fails: Callable[[Block], np.ndarray]) -> CheckDef:
+    """The check violated at the rows n >= first_index where `fails(block)` is set.
 
-    A block from p0 >= GAP_BOUNDS_RISE_FROM whose gap bound (no gap of it is
-    larger) meets the bound at p0 has no such row, so rows are decided only
-    when that point fails.
+    Where `holds(n, p, gap)` passes, the row holds, as does every later row with a
+    gap no larger.  A gap is at most the record at or before it, and a gap before the
+    block's first record at most that record's (the gap_bound if it has none), so
+    `fails` reads rows only where `holds` fails at a record or at the first row.
     """
-    first = b.first_index
 
     def violations(block: Block) -> np.ndarray:
-        p0, top = block.first_p, block.gap_bound
-        if block.last_n < first or p0 >= bounds.GAP_BOUNDS_RISE_FROM and b.decide(p0, top)[0]:
+        recs = block.records
+        first = (block.first_n, block.first_p, recs[0][2] if recs else block.gap_bound)
+        if block.last_n < first_index or all(holds(*r) for r in (first, *recs)):
             return np.zeros(len(block), dtype=bool)
-        fails = ~b.holds_many(block.ps, block.gaps)
-        return fails & (block.ns >= first) if first > 1 else fails
+        hits = fails(block)
+        return hits & (block.ns >= first_index) if first_index > 1 else hits
 
-    return CheckDef(b.name, b.description, first, violations)
+    return CheckDef(name, description, first_index, violations)
 
 
-def _theorem1_violations(block: Block) -> np.ndarray:
-    """The rows with gap > n, read only when a record exceeds its index or a gap before
-    the first record may exceed first_n (no gap exceeds the record at or before it)."""
-    recs = block.records
-    before = recs[0][2] if recs else block.gap_bound  # bounds the gaps before recs[0]
-    if before > block.first_n or any(gap > n for n, _, gap in recs):
-        return block.gaps > block.ns
-    return np.zeros(len(block), dtype=bool)
+def _gap_check(b: bounds.Bound) -> CheckDef:
+    """The check of one gap bound, which rises in p from GAP_BOUNDS_RISE_FROM on."""
+    return _check(b.name, b.description, b.first_index,
+                  lambda n, p, gap: p >= bounds.GAP_BOUNDS_RISE_FROM and b.decide(p, gap)[0],
+                  lambda block: ~b.holds_many(block.ps, block.gaps))
 
 
 CHECKS: dict[str, CheckDef] = {
     cd.name: cd
     for cd in (
-        CheckDef(
-            "theorem1",
-            "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
-            1,
-            _theorem1_violations,
-        ),
+        _check("theorem1", "gap(p_n) <= n, equivalently at least one prime in (p_n, p_n + n]",
+               1, lambda n, p, gap: gap <= n, lambda block: block.gaps > block.ns),
         *map(_gap_check, bounds.GAP_BOUNDS),
     )
 }

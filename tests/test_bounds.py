@@ -1,4 +1,5 @@
 import math
+from decimal import Context, localcontext
 
 import numpy as np
 import pytest
@@ -77,9 +78,9 @@ def test_corollary1_verdict_fields():
     assert b.decide(113, 14) == (True, False)
     assert b.at(113) == pytest.approx(31.15189377244836, rel=1e-12)
     assert b.at(113) == bounds.corollary1_bound(113) == b.value(113, bounds.MATH)
-    # one expression on every backend: numpy and 50-digit mpmath agree with math
+    # one expression on every backend: numpy and decimal agree with math
     assert float(b.value(np.array([113]), bounds.NUMPY)[0]) == pytest.approx(b.at(113), rel=1e-15)
-    assert float(b.value(113, bounds.MPMATH)) == pytest.approx(b.at(113), rel=1e-15)
+    assert float(b.value(113, bounds.DECIMAL)) == pytest.approx(b.at(113), rel=1e-15)
 
 
 def test_epsilon_verdicts():
@@ -133,9 +134,11 @@ def test_marginal_recheck_corollary1():
     assert marginal and not holds
     # the re-decision subtracts decimal 1.1; the binary float 1.1 would move
     # the bound by about 2e-13
+    with localcontext(Context(prec=50)):
+        value = bounds.BOUNDS["corollary1"].value(p, bounds.DECIMAL)
     with mpmath.workdps(50):
         decimal = p / (mpmath.log(p) - mpmath.mpf("1.1"))
-        assert abs(bounds.BOUNDS["corollary1"].value(p, bounds.MPMATH) - decimal) < 1e-40
+        assert abs(mpmath.mpf(str(value)) - decimal) < 1e-40
 
 
 def test_marginal_recheck_empirical():
@@ -153,10 +156,11 @@ def test_gap_bounds_rise_from_the_block_threshold():
     import mpmath
 
     rise = bounds.GAP_BOUNDS_RISE_FROM
+    backend = bounds.Backend(mpmath.log, mpmath.sqrt, mpmath.mpf)
     far = sorted({int(x) for x in np.geomspace(10**4, 2**62, 200)})
     with mpmath.workdps(50):
         for b in bounds.GAP_BOUNDS:
-            value = lambda x: b.value(mpmath.mpf(x), bounds.MPMATH)
+            value = lambda x: b.value(mpmath.mpf(x), backend)
             near = [value(x) for x in range(rise, 10**4 + 2)]
             assert all(a <= c for a, c in zip(near, near[1:])), b.name
             assert all(value(x) <= value(x + 1) for x in far), b.name

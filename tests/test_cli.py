@@ -243,6 +243,16 @@ def test_verify_missing_checkpoint_file(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", [("verify", "--limit"), ("table1", "--max-prime")])
+def test_a_checkpoint_in_a_missing_directory_writes_nothing_to_stdout(tmp_path, capsys, command):
+    directory = tmp_path / "absent"
+    argv = (*command, "1000", "--checkpoint", str(directory / "x.ck"), "--interval", "10")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_ERROR and out == ""
+    assert err == f"error: checkpoint directory {directory} does not exist\n"
+    assert not directory.exists()
+
+
 def test_verify_refuses_a_checkpoint_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.ck"
     path.write_bytes(b"\xff\xfeformat_version = 2\n")
@@ -574,6 +584,20 @@ def test_table1_cli_subset(capsys):
     assert "mismatch" not in err
 
 
+def test_table1_cli_reports_a_reference_mismatch(capsys, monkeypatch):
+    reference = list(verify.TABLE1_REFERENCE)
+    n, p, gap, starred, margin, printed = reference[5]
+    reference[5] = (n, p, gap, starred, margin + 1, printed)
+    monkeypatch.setattr(verify, "TABLE1_REFERENCE", tuple(reference))
+    code, out, err = run_cli(capsys, "table1", "--max-prime", "1000", "--format", "csv")
+    assert code == EXIT_FINDING
+    assert "\n6,13,4,false,2,5.5\n" in out  # the reproduced row, not the patched one
+    assert err == (
+        "mismatch: row n=6: got (p=13, gap=4, starred=False, margin=2), "
+        "expected (p=13, gap=4, starred=False, margin=3)\n"
+    )
+
+
 class Interrupt(Exception):
     pass
 
@@ -680,6 +704,20 @@ def test_stdout_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify", "--limit", "10000", "--format", "csv")
     _, second, _ = run_cli(capsys, "verify", "--limit", "10000", "--format", "csv")
     assert first == second
+
+
+def test_runs_without_mpmath():
+    # near ties are re-decided in the standard library's decimal, so a run and
+    # a marginal decision need no mpmath (an import of it raises ImportError)
+    code = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from primegaps import bounds, cli\n"
+        "assert bounds.BOUNDS['corollary1'].decide(263101, 23119) == (False, True)\n"
+        "sys.exit(cli.main(['verify', '--limit', '100000']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "check corollary1: applied=9590 violations=0" in proc.stdout
 
 
 def test_module_invocation_subprocess():

@@ -13,7 +13,7 @@ from primegaps.gaps import (
     gap_stream,
     gap_witness,
 )
-from primegaps.sieve import SegmentFeed, primes_up_to
+from primegaps.sieve import MAX_LIMIT, SegmentFeed, primes_up_to
 from primegaps.verify import TABLE1_REFERENCE, maximal_gaps
 
 RECORDS = [(n, p, gap) for n, p, gap, starred, _, _ in TABLE1_REFERENCE if starred]
@@ -95,6 +95,8 @@ def test_limit_validation():
         list(gap_stream(-1))
     with pytest.raises(ValueError):
         GapBlockStream(100, cut_every=0)
+    with pytest.raises(OverflowError, match="exceeds supported maximum"):
+        GapBlockStream(MAX_LIMIT + 1)
 
 
 def test_window_never_outgrows_the_limit(monkeypatch):

@@ -236,6 +236,8 @@ def test_is_prime_oracle_basics():
         is_prime_oracle(1)
     with pytest.raises(ValueError):
         is_prime_oracle(-7)
+    with pytest.raises(OverflowError, match="exceeds supported maximum"):
+        is_prime_oracle(MAX_LIMIT + 1)
 
 
 def test_next_prime():
@@ -292,6 +294,8 @@ def test_segment_feed_from_offset_start():
     assert (lo, hi) == (1000, 1500)
     all_primes = primes_up_to(1499)
     assert primes.tolist() == all_primes[all_primes >= 1000].tolist()
+    with pytest.raises(ValueError, match="start at 2 or above, got 1"):
+        SegmentFeed(start=1)
 
 
 def test_a_default_feed_starts_with_short_windows():
@@ -348,3 +352,6 @@ def test_sieve_threads_defaults_to_the_cpus_the_process_may_use(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert sieve_threads() == 2
+    # where os has no sched_getaffinity (macOS, Windows), every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert sieve_threads() == 64

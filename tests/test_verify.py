@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -235,6 +236,57 @@ def test_theorem1_is_decided_from_a_blocks_records():
     assert seen == {(False, False), (True, False), (True, True)}
 
 
+def test_every_check_decides_a_block_as_its_rows(monkeypatch):
+    # Seeded blocks whose record flags are the running records after a gap
+    # before the block, with gaps drawn below each check's bound at the row
+    # and primes that climb far enough for the bound to rise within a block.
+    # Each check gives every block the verdict of its rows one by one.  A gap
+    # check reads no rows of a block whose first prime is at least 8 and whose
+    # first row and records pass, though its largest gap may fail at its
+    # first prime: the first block below is such a block for every gap bound.
+    calls = []
+    holds_many = bounds.Bound.holds_many
+
+    def counted(self, xs, observed):
+        calls.append(self.name)
+        return holds_many(self, xs, observed)
+
+    monkeypatch.setattr(bounds.Bound, "holds_many", counted)
+    rng = np.random.default_rng(24)
+    arr = lambda v: np.asarray(v, dtype=np.int64)
+    for name, cd in CHECKS.items():
+        b = bounds.BOUNDS.get(name)
+        first = cd.first_index
+
+        def row_fails(n: int, p: int, gap: int) -> bool:
+            return gap > n if b is None else n >= first and not b.decide(p, gap)[0]
+
+        blocks = [(2_010_761, [33301, 33313, 10**9], [2, 2, 40000], 1)]
+        for _ in range(300):
+            size = int(rng.integers(1, 8))
+            n0 = int(rng.integers(max(1, first - 10), first + 40))
+            p0 = int(np.exp(rng.uniform(np.log(5), np.log(10**7))))
+            ps = p0 + np.cumsum(np.r_[0, rng.integers(1, p0 + 2, size - 1)])
+            ns = np.arange(n0, n0 + size)
+            bound = ns if b is None else np.array([b.at(int(p)) for p in ps])
+            gaps = np.maximum(1, (bound * rng.uniform(0.2, 1.05, size)).astype(np.int64))
+            blocks.append((n0, ps, gaps, int(rng.integers(0, gaps.max() + 4))))
+        outcomes, unread = set(), 0
+        for n0, ps, gaps, before in blocks:
+            ps, gaps = arr(ps), arr(gaps)
+            ns = np.arange(n0, n0 + len(ps), dtype=np.int64)
+            is_maximal = gaps > np.maximum.accumulate(np.r_[before, gaps])[:-1]
+            calls.clear()
+            verdict = cd.violations(Block(arr(ns), ps, gaps, is_maximal))
+            expected = [row_fails(*row) for row in zip(ns.tolist(), ps.tolist(), gaps.tolist())]
+            assert verdict.tolist() == expected, (name, ns, ps, gaps, before)
+            outcomes.add(bool(verdict.any()))
+            if b is not None and ps[0] >= 8 and not b.decide(int(ps[0]), int(gaps.max()))[0]:
+                unread += not calls
+        assert outcomes == {True, False}, name
+        assert b is None or unread > 1, name  # the first block and a seeded one
+
+
 @pytest.mark.parametrize("seeded_at", [None, 700])
 def test_theorem1_flags_the_rows_whose_window_is_empty(seeded_at):
     # margin < 1 and gap > n flag the same rows, so the gap-only check equals
@@ -313,6 +365,22 @@ def test_checkpoint_garbage_rejected(tmp_path):
     path.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointFormatError):
         read_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + ["no separator here"], "malformed line 'no separator here'"),
+    (lambda lines: [x for x in lines if not x.startswith("gap_max = ")], "missing key 'gap_max'"),
+], ids=["malformed_line", "missing_key"])
+def test_checkpoint_with_a_valid_hash_but_a_bad_line_is_a_format_error(tmp_path, edit, message):
+    path = tmp_path / "run.ck"
+    write_checkpoint(path, Checkpoint(CHECKPOINT_VERSION, 1000, 25, 97, 8, {"theorem1": 0}, {}, ()))
+    lines = edit(path.read_text(encoding="utf-8").splitlines()[:-1])
+    payload = "".join(line + "\n" for line in lines)
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    path.write_text(f"{payload}sha256 = {digest}\n", encoding="utf-8")
+    with pytest.raises(CheckpointFormatError) as exc:
+        read_checkpoint(path)
+    assert str(exc.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize("field", ["version", "limit", "last_n", "last_p", "gap_max"])
