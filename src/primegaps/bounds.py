@@ -47,12 +47,19 @@ DECIMAL = Backend(lambda v: Decimal(v).ln(), lambda v: Decimal(v).sqrt(), Decima
 
 
 def is_marginal(observed, bound):
-    """True where the two sides are too close for a float comparison to be trusted.
+    """True where the two sides are too close for a float comparison to be trusted:
+    |bound - observed| <= MARGINAL_RTOL * max(1, |bound|, |observed|).
 
-    Works on scalars and on numpy arrays alike.
+    Works on numpy arrays and on scalars; `is_marginal_float` is the same rule
+    in plain floats, for one decision.
     """
     scale = np.maximum(np.maximum(1.0, np.abs(bound)), np.abs(observed))
     return np.abs(bound - observed) <= MARGINAL_RTOL * scale
+
+
+def is_marginal_float(observed: float, bound: float) -> bool:
+    """`is_marginal` at one point, without numpy."""
+    return abs(bound - observed) <= MARGINAL_RTOL * max(1.0, abs(bound), abs(observed))
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ class Bound:
         if self.exact is not None:
             return bool(self.exact(x, observed)), False
         bound = self.at(x)
-        if not is_marginal(observed, bound):
+        if not is_marginal_float(observed, bound):
             return bool(self.op(observed, bound)), False
         with localcontext(Context(prec=_RECHECK_DIGITS)):
             return bool(self.op(observed, self.value(x, DECIMAL))), True

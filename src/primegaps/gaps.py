@@ -30,6 +30,7 @@ from .sieve import (
     MAX_LIMIT,
     SegmentFeed,
     _check_segment_size,
+    clear_below,
     flag_primes,
     is_prime_oracle,
     next_prime,
@@ -137,12 +138,8 @@ class Block:
         if self._source is None:
             return self.first_n - 1 + np.searchsorted(self.ps, targets, side="right")
         pending, first, flags = self._source
-        pis, at, pi = [], 0, self.first_n - 1 + (pending is not None)
-        for e in np.maximum((targets - first) // 2 + 1, 0).tolist():  # flags[:e] lie at or below t
-            pi += e - at - int(np.count_nonzero(flags[at:e]))
-            pis.append(pi)
-            at = e
-        return np.array(pis, dtype=np.int64)
+        ends = np.maximum((targets - first) // 2 + 1, 0)  # flags[:e] lie at or below t
+        return clear_below(flags, ends) + (self.first_n - 1 + (pending is not None))
 
     @property
     def margins(self) -> np.ndarray:
@@ -187,24 +184,34 @@ def _words_above(record: int) -> int:
     return (record // 2 - 7) // 8
 
 
-def _long_gaps(flags: np.ndarray, words: int) -> list[tuple[int, int]]:
-    """(i, j) for each pair of consecutive primes flags[i], flags[j] whose
-    composites between them cover `words` (>= 1) whole aligned uint64 words
-    of the flags.  A run of c set flags covers at least (c - 7) // 8 of them.
+def _long_gaps(flags: np.ndarray, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j), ascending int64 arrays: each pair of consecutive primes flags[i],
+    flags[j] whose composites between them cover `words` (>= 1) whole aligned
+    uint64 words of the flags.  A run of c set flags covers at least (c - 7) // 8.
+
+    A maximal run of full words s .. e - 1 at least `words` long gives one
+    pair: the last clear flag of word s - 1 and the first of word e.  A run
+    from word 0 gives none (its gap starts before the window), and j of a run
+    to the last whole word is looked for among the few flags after it.
     """
-    runs = flags[: len(flags) // 8 * 8].view(np.uint64) == _FULL_WORD
+    nwords = len(flags) // 8
+    runs = flags[: 8 * nwords].view(np.uint64) == _FULL_WORD
     span = 1  # runs[k]: words k .. k + span - 1 are all full
     while span < words:
         step = min(span, words - span)
         runs = runs[:-step] & runs[step:]
         span += step
-    pairs = {}
-    for k in np.flatnonzero(runs).tolist():
-        i = _clear_from(flags, 8 * k - 1, -1)
-        j = _clear_from(flags, 8 * (k + words), 1)
-        if i >= 0 and j >= 0:  # else the gap reaches past an end of the window
-            pairs[i] = j
-    return sorted(pairs.items())
+    k = np.flatnonzero(runs)
+    del runs
+    first = k[np.diff(k, prepend=-2) > 1]  # the first word of each maximal run
+    after = k[np.diff(k, append=nwords + 1) > 1] + words  # the word after it
+    after, first = after[first > 0], first[first > 0]
+    rows = flags[: 8 * nwords].reshape(nwords, 8)
+    i = 8 * first - 1 - np.argmax(~rows[first - 1, ::-1], axis=1)
+    j = 8 * after + np.argmax(~rows[np.minimum(after, nwords - 1)], axis=1)
+    if len(j) and after[-1] == nwords:
+        j[-1] = _clear_from(flags, 8 * nwords, 1)
+    return i[j >= 0], j[j >= 0]  # j < 0: the gap reaches past the window's end
 
 
 class GapBlockStream:
@@ -264,7 +271,7 @@ class GapBlockStream:
             clear = np.flatnonzero(~flags)
             i, j = clear[:-1], clear[1:]
         else:
-            i, j = np.array(_long_gaps(flags, words), dtype=np.int64).reshape(-1, 2).T
+            i, j = _long_gaps(flags, words)
         gaps = j - i
         gaps *= 2  # in place: the first window has a candidate per prime
         # a record gap is above the record so far and above every candidate before it
@@ -304,6 +311,7 @@ class GapBlockStream:
                 block = self._flag_block(first, flags, rows)
                 del flags  # the block alone holds the window, until it builds its columns
                 yield block
+                del block  # nothing here holds a window while the next is sieved
             if stop >= 0:
                 return
 

@@ -5,7 +5,8 @@ and prime sequences are read off them as ascending ``numpy`` arrays of dtype
 int64.  The prime count pi(x) is `prime_pi` (Lucy_Hedgehog's method), and a
 trial-division primality test (`is_prime_oracle`) serves spot checks; neither
 shares code with the sieve path.  `prime_pi_at` counts at many ascending
-targets: from a known count or `prime_pi` at the first, the sieve past it.
+targets: from a known count or `prime_pi` at the first, then the clear flags
+(`clear_below`) of the windows past it.
 """
 
 from __future__ import annotations
@@ -35,8 +36,11 @@ PRIME_PI_MAX = 10**15
 THREADS_ENV_VAR = "PRIMEGAP_THREADS"
 
 # Odd base primes below this strike a window by slices, larger ones by scatters.
-SMALL_PRIME_CUTOFF = 1 << 14
-RANK_CUTOFF = 1 << 15
+SMALL_PRIME_CUTOFF = 1 << 15
+
+# clear_below counts up to this many ends one slice each (about 1 us per end,
+# against 2.4 ms to list a default window's clear flags).
+_MANY_ENDS = 1024
 
 
 def _ceil_sqrt(num: int) -> int:
@@ -98,8 +102,8 @@ def sieve_flags(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     prime p >= 17 with p*p < hi then strikes its odd multiples from
     max(p*p, lo) on, a stride of p in that index.  Primes below
     SMALL_PRIME_CUTOFF strike by one slice each; the larger ones hit the
-    window a few times at most.  Those below RANK_CUTOFF strike all their hits
-    by one scatter, the rest by one scatter per hit rank (32 in a default window).
+    window a few times at most, and strike by one scatter per hit rank (32
+    in a default window).
 
     Raises ValueError if lo < 2, the window is empty, or `base` does not
     reach ceil(sqrt(hi - 1)).
@@ -132,15 +136,10 @@ def sieve_flags(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
     start = np.maximum(odd * odd, (lo + odd - 1) // odd * odd)  # first multiple >= max(p*p, lo)
     start += odd * (1 - (start & 1))  # an even multiple steps on to the next, odd one
     idx = (start - first) >> 1
-    cut, far = np.searchsorted(odd, (SMALL_PRIME_CUTOFF, RANK_CUTOFF)).tolist()
+    cut = int(np.searchsorted(odd, SMALL_PRIME_CUTOFF))
     for p, i in zip(odd[:cut].tolist(), idx[:cut].tolist()):
         composite[i::p] = True
-    p, i = odd[cut:far], idx[cut:far]
-    hits = np.maximum(n - i + p - 1, 0) // p
-    at = np.arange(hits.sum()) - np.repeat(np.cumsum(hits) - hits, hits)  # each hit's rank
-    at *= np.repeat(p, hits)  # in place, so that three index arrays at most are live
-    composite[at + np.repeat(i, hits)] = True
-    p, i = odd[far:], idx[far:]
+    p, i = odd[cut:], idx[cut:]
     while (hit := i < n).any():
         p, i = p[hit], i[hit]
         composite[i] = True
@@ -154,6 +153,22 @@ def flag_primes(first: int, flags: np.ndarray) -> np.ndarray:
     primes *= 2  # in place: a window's worth of int64 is held once
     primes += first
     return primes
+
+
+def clear_below(flags: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The clear flags in flags[:e] for each of the ascending int64 `ends` e in
+    [0, len(flags)], as int64, in one pass over flags[:ends[-1]] (none for no
+    ends).  Few ends are counted span by span and allocate nothing; past
+    _MANY_ENDS, the ends are searched among the clear flags' indices, which
+    are then about as many as the ends."""
+    if len(ends) > _MANY_ENDS:
+        return np.searchsorted(np.flatnonzero(~flags[: ends[-1]]), ends)
+    clear, at, counts = 0, 0, []
+    for e in ends.tolist():
+        clear += e - at - int(np.count_nonzero(flags[at:e]))
+        counts.append(clear)
+        at = e
+    return np.array(counts, dtype=np.int64)
 
 
 def sieve_segment(lo: int, hi: int, base: BasePrimes) -> np.ndarray:
@@ -235,7 +250,8 @@ def prime_pi_at(targets: np.ndarray, known: tuple[int, int] | None = None) -> np
 
     The count starts from `known` = (t0, pi(t0)) for a t0 at most the first
     target, or else from `prime_pi` at the first target, and the span up to
-    the last target is sieved one default window at a time.  Raises
+    the last target is sieved one default window at a time, each counted
+    off its flags and released before the next is sieved.  Raises
     OverflowError for a target past PRIME_PI_MAX.
     """
     first, last = int(targets[0]), int(targets[-1])
@@ -246,10 +262,12 @@ def prime_pi_at(targets: np.ndarray, known: tuple[int, int] | None = None) -> np
     base = BasePrimes.up_to(max(2, _ceil_sqrt(last)))
     for lo in range(t0 + 1, last + 1, DEFAULT_SEGMENT_SIZE):
         hi = min(lo + DEFAULT_SEGMENT_SIZE, last + 1)
-        primes = sieve_segment(lo, hi, base)
+        flags = sieve_flags(lo, hi, base)
         a, b = np.searchsorted(targets, (lo, hi)).tolist()  # targets[a:b] lie in [lo, hi)
-        pis[a:b] += np.searchsorted(primes, targets[a:b], side="right")
-        pis[b:] += len(primes)
+        pis[a:] += lo == 2  # 2 has no flag
+        pis[a:b] += clear_below(flags, (targets[a:b] - (lo | 1)) // 2 + 1)
+        pis[b:] += len(flags) - np.count_nonzero(flags)
+        del flags
     return pis
 
 

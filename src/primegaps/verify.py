@@ -12,7 +12,6 @@ periodic checkpoints and be resumed to produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import pickle
 import signal
@@ -234,6 +233,7 @@ def _parse_record(text: str) -> GapRecord:
 
 def write_checkpoint(path: str | Path, ck: Checkpoint) -> None:
     """Atomically write `ck` as UTF-8 `key = value` lines + sha256 trailer."""
+    import hashlib  # loads OpenSSL (about 3.5 MB RSS), which a run without checkpoints skips
     counts = ",".join(f"{name}:{ck.violation_counts[name]}" for name in sorted(ck.violation_counts))
     firsts = ";".join(
         f"{name}:{_format_record(ck.first_violations[name])}"
@@ -264,6 +264,7 @@ def write_checkpoint(path: str | Path, ck: Checkpoint) -> None:
 
 def read_checkpoint(path: str | Path) -> Checkpoint:
     """Load and validate a checkpoint file (hash, version, required keys)."""
+    import hashlib
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -353,7 +354,8 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
     from prime_pi_at.  Under emit="all", `sink` gets every row with its
     margins, counted on from the last target of the block before.  The rows
     kept are a block's records, so its columns are read only where a check
-    fails or every row is emitted.
+    fails or every row is emitted.  Each block is released before the next
+    window, or a window of prime_pi_at, is sieved.
     """
     cut = config.checkpoint_interval if config.checkpoint_path else None
     seed = _StreamSeed(state.last_n + 1, state.last_p, state.gap_max)
@@ -376,7 +378,10 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
                 sink(rec)
         del waiting[: len(pis)]
 
-    for block in stream.blocks():
+    def take(block: Block) -> np.ndarray:
+        """Check `block`, queue the rows it keeps and settle those whose target
+        it holds; returns the targets p + n of the rows still waiting."""
+        nonlocal known
         violated = None
         firsts: dict[int, list[str]] = {}
         for cd in defs:
@@ -395,7 +400,7 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
                 sink(rec)
         if violated is None:  # the rows kept are the records, emitted under emit="maximal"
             emitted = settle_to_sink and config.emit == "maximal"
-            waiting += [(n, p, gap, True, emitted, ()) for n, p, gap in block.records]
+            waiting.extend((n, p, gap, True, emitted, ()) for n, p, gap in block.records)
         else:
             emitted = violated if config.emit == "violations" else block.is_maximal
             emitted = emitted & settle_to_sink
@@ -404,18 +409,23 @@ def _scan(config: RunConfig, state: Checkpoint, limit: int, sink: RecordSink | N
             rows = np.flatnonzero(keep)
             cols = (block.ns, block.ps, block.gaps, block.is_maximal, emitted)
             names = [firsts.get(i, ()) for i in rows.tolist()]
-            waiting += zip(*(c[rows].tolist() for c in cols), names)
+            waiting.extend(zip(*(c[rows].tolist() for c in cols), names))
         ts = np.array([n + p for n, p, *_ in waiting], dtype=np.int64)
         # the block holds every prime from p_(first_n) up to its successor next_p
         ready = int(np.searchsorted(ts, block.next_p))
         if ready:
             settle(block.pi_at(ts[:ready]))
         state.last_n, state.last_p, state.gap_max = block.last_n, block.last_p, block.gap_bound
+        return ts[ready:]
+
+    for block in stream.blocks():
+        ts = take(block)
+        del block
         if waiting and _at_multiple(config, state):
-            settle(prime_pi_at(ts[ready:]))
+            settle(prime_pi_at(ts))
         after_block(state)
     if waiting:
-        settle(prime_pi_at(ts[ready:]))
+        settle(prime_pi_at(ts))
 
 
 def _shard_cuts(config: RunConfig, x0: int) -> list[int]:

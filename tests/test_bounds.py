@@ -105,6 +105,23 @@ def test_is_marginal():
     assert not bounds.is_marginal(14.0, 31.15)
 
 
+@pytest.mark.parametrize("bound", [0.25, 1.0, 31.15, 17680.0, 1.5e7, 3.7e13])
+def test_scalar_and_array_marginal_forms_agree_at_the_tolerance(bound):
+    # the plain-float rule of one decision and the numpy rule of a block agree
+    # at the tolerance, an ulp either side of it, and just inside and outside
+    tol = bounds.MARGINAL_RTOL * max(1.0, bound)
+    points = []
+    for edge in (bound - tol, bound + tol):
+        points += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+    inside = [bound, bound - 0.999 * tol, bound + 0.999 * tol]
+    outside = [bound - 1.001 * tol, bound + 1.001 * tol]
+    observed = [float(x) for x in points + inside + outside]
+    scalar = [bounds.is_marginal_float(o, bound) for o in observed]
+    assert scalar == [bool(bounds.is_marginal(o, bound)) for o in observed]
+    assert scalar == bounds.is_marginal(np.array(observed), np.full(len(observed), bound)).tolist()
+    assert scalar[-5:] == [True, True, True, False, False]
+
+
 def test_marginal_recheck_dusart_upper():
     """x = 195998 gives x/(log x - 1.1) = 17679.99999..., within the marginal
     band of 17680; the re-check must reject 17680 as a prime count."""

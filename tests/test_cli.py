@@ -720,6 +720,20 @@ def test_runs_without_mpmath():
     assert "check corollary1: applied=9590 violations=0" in proc.stdout
 
 
+def test_a_run_without_a_checkpoint_does_not_import_hashlib():
+    # only checkpoint files are hashed, and hashlib loads OpenSSL
+    code = (
+        "import sys\n"
+        "from primegaps import cli\n"
+        "code = cli.main(['verify', '--limit', '100000'])\n"
+        "assert 'hashlib' not in sys.modules, 'hashlib imported'\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "check theorem1: applied=9592 violations=0" in proc.stdout
+
+
 def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "primegaps", "pi", "97"],

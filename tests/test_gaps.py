@@ -367,18 +367,29 @@ def test_pi_counted_off_a_blocks_flags_is_the_sieves(segment_size, cut_every, da
     assert_pi_at_matches(GapBlockStream(limit, segment_size, cut_every, seed).blocks(), ref, rng)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=300)
 @given(
-    # mostly set flags (composites), so long runs are common
-    composite=st.lists(st.integers(0, 9), max_size=400).map(lambda xs: np.array(xs, dtype=int) > 0),
+    # mostly set flags (composites), so long runs are common, and set runs
+    # of any length at either end
+    head=st.integers(0, 40),
+    middle=st.lists(st.integers(0, 9), max_size=400).map(lambda xs: [x > 0 for x in xs]),
+    tail=st.integers(0, 40),
     words=st.integers(min_value=1, max_value=5),
 )
-def test_long_gaps_are_the_runs_that_cover_whole_words(composite, words):
-    # Every pair of consecutive clear flags whose set flags between them cover
-    # at least `words` aligned 8-flag words, and no other pair.
+def test_long_gaps_are_the_runs_that_cover_whole_words(head, middle, tail, words):
+    # Every pair of consecutive clear flags whose set flags between them fill
+    # at least `words` aligned 8-flag words, and no other pair, in an array
+    # whose length need not be a whole number of words.
+    composite = np.array([True] * head + middle + [True] * tail, dtype=bool)
     clear = np.flatnonzero(~composite).tolist()
-    expected = [(i, j) for i, j in zip(clear, clear[1:]) if j // 8 - -(-(i + 1) // 8) >= words]
-    assert gaps_module._long_gaps(composite, words) == expected
+    expected = []
+    for i, j in zip(clear, clear[1:]):
+        covered = sum(1 for w in range(len(composite) // 8) if i < 8 * w and 8 * w + 8 <= j)
+        if covered >= words:
+            expected.append((i, j))
+    i, j = gaps_module._long_gaps(composite, words)
+    assert i.dtype == j.dtype == np.int64
+    assert list(zip(i.tolist(), j.tolist())) == expected
 
 
 def test_every_gap_above_the_record_covers_the_words_searched_for():

@@ -1,11 +1,13 @@
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from primegaps import sieve
 from primegaps.sieve import (
     DEFAULT_SEGMENT_SIZE,
     MAX_LIMIT,
@@ -14,6 +16,7 @@ from primegaps.sieve import (
     SMALL_PRIME_CUTOFF,
     BasePrimes,
     SegmentFeed,
+    clear_below,
     is_prime_oracle,
     next_prime,
     prime_pi,
@@ -125,8 +128,8 @@ def test_sieve_segment_matches_reference_at_window_edges():
 def test_sieve_segment_matches_reference_around_prime_squares():
     # A window that starts or ends at p*p - 1, p*p or p*p + 1 for primes that
     # strike by slice (below the cutoff) and by scatter (above it).
-    below = [3, 5, 7, 11, 13, 8191, 16381]  # 16381: the largest prime below 2^14
-    above = [16411, 16417, 65537, 999983]  # 16411: the smallest prime above 2^14
+    below = [3, 5, 7, 11, 13, 8191, 16381, 16411, 32749]  # 32749: the largest prime below 2^15
+    above = [32771, 32779, 65537, 999983]  # 32771: the smallest prime above 2^15
     assert max(below) < SMALL_PRIME_CUTOFF < min(above)
     for p in below + above:
         for edge in (p * p - 1, p * p, p * p + 1):
@@ -159,6 +162,29 @@ def test_prime_pi_at_counts_on_from_a_known_point():
         known = (t0, prime_pi(t0))
         assert prime_pi_at(targets, known).tolist() == prime_pi_at(targets).tolist()
     assert prime_pi_at(targets[::20]).tolist() == [prime_pi(int(t)) for t in targets[::20]]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    flags=st.lists(st.booleans(), max_size=300).map(lambda xs: np.array(xs, dtype=bool)),
+    data=st.data(),
+    many=st.booleans(),
+)
+def test_clear_below_counts_the_clear_flags_before_each_end(flags, data, many):
+    # Both ways of counting, span by span and by searching the clear flags'
+    # indices, against a count per end; repeated ends, 0 and len(flags) included.
+    ends = sorted(data.draw(st.lists(st.integers(0, len(flags)), max_size=12), "ends"))
+    ends = np.array(ends, dtype=np.int64)
+    with mock.patch.object(sieve, "_MANY_ENDS", 0 if many else 1024):
+        got = clear_below(flags, ends)
+    assert got.dtype == np.int64
+    assert got.tolist() == [e - int(np.count_nonzero(flags[:e])) for e in ends.tolist()]
+
+
+def test_prime_pi_at_counts_from_the_start():
+    # a count from pi(1) = 0 adds 2, which has no flag
+    targets = np.array([1, 2, 3, 10, 100, 7919], dtype=np.int64)
+    assert prime_pi_at(targets).tolist() == [0, 1, 2, 4, 25, 1000]
 
 
 @pytest.mark.parametrize("scale", [10**10, 10**12])

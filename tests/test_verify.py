@@ -1,13 +1,14 @@
 import copy
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from primegaps import bounds, gaps
 from primegaps.gaps import Block, GapBlockStream, GapRecord, _StreamSeed
-from primegaps.sieve import MAX_SEGMENT_SIZE, primes_up_to
+from primegaps.sieve import DEFAULT_SEGMENT_SIZE, MAX_SEGMENT_SIZE, primes_up_to
 from primegaps.verify import (
     CHECKS,
     CHECKPOINT_VERSION,
@@ -705,3 +706,25 @@ def test_a_theorem1_run_builds_no_columns(monkeypatch):
                 if starred and p < 10**7]
     assert [(r.n, r.p, r.gap, r.theorem1_margin) for r in summary.maximal_records] == expected
     assert listed == []
+
+
+@pytest.mark.parametrize("limit, checks, primes", [
+    (3 * 10**7, tuple(CHECKS), 1_857_859),
+    (2 * 10**8, ("theorem1",), 11_078_937),
+])
+def test_a_run_holds_about_one_window_at_a_time(monkeypatch, limit, checks, primes):
+    # Nothing holds a block while the next window is sieved, and pi at the
+    # targets left waiting is counted off each window's flags, released in
+    # turn.  The theorem1 run ends with two records waiting, at p + n =
+    # 200 235 091 and 202 568 245, more than one window apart.  So the
+    # traced peak stays within two default windows' flags (one bool per odd
+    # integer), though either run holds flags, masks and rows together.
+    monkeypatch.setenv("PRIMEGAP_THREADS", "1")
+    tracemalloc.start()
+    try:
+        summary = run_verification(RunConfig(limit, checks))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.clean and summary.primes_processed == primes
+    assert peak <= 2 * (DEFAULT_SEGMENT_SIZE // 2), f"traced peak {peak / 2**20:.2f} MiB"
